@@ -17,12 +17,11 @@ use std::sync::Arc;
 
 use lsm_compaction::CompactionPlan;
 use lsm_obs::{EventKind, ObsHandle};
-use lsm_sstable::{EntryIter, MergeIter, Table, TableBuilder};
+use lsm_sstable::{EntryIter, MergeIter, Table, TableBuilder, TableIter};
 use lsm_storage::{Backend, BlockCache};
 use lsm_types::{EntryKind, Error, InternalEntry, Result, SeqNo, UserKey};
 
 use crate::options::Options;
-use crate::scan::BoundedTableIter;
 use crate::version::Version;
 
 /// What a compaction produced.
@@ -404,7 +403,7 @@ pub(crate) fn execute_plan(
 struct ChainedTables {
     tables: Vec<Arc<Table>>,
     idx: usize,
-    current: Option<BoundedTableIter>,
+    current: Option<TableIter>,
 }
 
 impl ChainedTables {
@@ -432,7 +431,7 @@ impl EntryIter for ChainedTables {
             }
             let t = &self.tables[self.idx];
             self.idx += 1;
-            self.current = Some(BoundedTableIter::new(t, b"", None));
+            self.current = Some(t.scan());
         }
     }
 }

@@ -7,11 +7,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use lsm_obs::{
-    key_hash, recovery_phase, slow_op, EventKind, HistKind, ObsHandle, Observability, OpKind,
-    ReadProbe,
-};
-use lsm_sstable::{Table, TableBuilder, TableReadOpts};
+use lsm_obs::{recovery_phase, EventKind, HistKind, ObsHandle, Observability, OpKind, ReadProbe};
+use lsm_sstable::{ReadCtx, Table, TableBuilder, TableReadOpts};
 use lsm_storage::{
     Backend, BlockCache, CacheConfig, FileId, FsBackend, MemBackend, ObservedBackend,
 };
@@ -48,23 +45,19 @@ impl Snapshot {
 
     /// Point lookup at this snapshot.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>> {
-        let _t = self.inner.obs.timer(HistKind::Get);
-        self.inner.get_at(key, self.seqno)
+        self.get_opt(key, &ReadOptions::default())
     }
 
     /// [`Snapshot::get`] with per-read options. The snapshot's pinned
     /// seqno wins; [`ReadOptions::snapshot`] may only narrow it further
     /// (read even further into the past), never widen it.
     pub fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
-        let _t = self.inner.obs.timer(HistKind::Get);
-        let at = opts.snapshot.map_or(self.seqno, |s| s.min(self.seqno));
-        self.inner.get_at_opts(key, at, None, &opts.table_opts())
+        fg_get(&self.inner, Some(self.seqno), key, opts)
     }
 
     /// Range scan at this snapshot.
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter> {
-        let _t = self.inner.obs.timer(HistKind::Scan);
-        self.inner.scan_at(start, end, self.seqno)
+        self.scan_opt(start, end, &ReadOptions::default())
     }
 
     /// [`Snapshot::scan`] with per-read options (seqno resolution as in
@@ -75,10 +68,7 @@ impl Snapshot {
         end: Option<&[u8]>,
         opts: &ReadOptions,
     ) -> Result<DbScanIter> {
-        let _t = self.inner.obs.timer(HistKind::Scan);
-        let at = opts.snapshot.map_or(self.seqno, |s| s.min(self.seqno));
-        self.inner
-            .scan_at_opts(start, end, at, None, &opts.table_opts())
+        fg_scan(&self.inner, Some(self.seqno), start, end, opts)
     }
 }
 
@@ -148,13 +138,18 @@ impl Default for ReadOptions {
 }
 
 impl ReadOptions {
-    /// The sstable-layer slice of these options (everything but the
-    /// snapshot, which the engine resolves before tables are consulted).
-    pub(crate) fn table_opts(&self) -> TableReadOpts {
-        TableReadOpts {
-            fill_cache: self.fill_cache,
-            pin_index_filter: self.pin_index_filter,
-            verify_checksums: self.verify_checksums,
+    /// The read context one read carries down the layers: the
+    /// sstable-layer slice of these options (everything but the snapshot,
+    /// which the engine resolves before tables are consulted) plus the
+    /// probe of a sampled op.
+    pub(crate) fn ctx<'a>(&self, probe: Option<&'a mut ReadProbe>) -> ReadCtx<'a> {
+        ReadCtx {
+            opts: TableReadOpts {
+                fill_cache: self.fill_cache,
+                pin_index_filter: self.pin_index_filter,
+                verify_checksums: self.verify_checksums,
+            },
+            probe,
         }
     }
 }
@@ -438,44 +433,6 @@ impl Db {
         self.inner.build_manifest().encode()
     }
 
-    /// Runs one foreground op under a single 1-in-16 sampling decision:
-    /// a sampled op feeds its latency histogram, the workload sampler
-    /// (hashing `key` only then — never on the unsampled fast path), and
-    /// the slow-op check (emitting a receipt with the read-path breakdown
-    /// when it crosses `Options::slow_op_threshold`); the unsampled
-    /// 15-in-16 pay one branch and no clock read.
-    #[inline]
-    fn instrument_fg<T>(
-        &self,
-        hist: HistKind,
-        op: OpKind,
-        key: &[u8],
-        run: impl FnOnce(Option<&mut ReadProbe>) -> Result<T>,
-    ) -> Result<T> {
-        let obs = &self.inner.obs;
-        let Some(weight) = obs.fg_sample_weight() else {
-            return run(None);
-        };
-        // An empty key (unbounded scan) has nothing to attribute.
-        let kh = if key.is_empty() { 0 } else { key_hash(key) };
-        obs.workload_record(op, kh, weight);
-        let mut probe = ReadProbe::default();
-        let start = obs.now_nanos();
-        let result = run(Some(&mut probe));
-        let dur = obs.now_nanos().saturating_sub(start);
-        obs.record_weighted(hist, dur, weight);
-        if dur >= self.inner.opts.slow_op_threshold.as_nanos() as u64 {
-            let code = match op {
-                OpKind::Get => slow_op::GET,
-                OpKind::Put => slow_op::PUT,
-                OpKind::Delete => slow_op::DELETE,
-                OpKind::Scan => slow_op::SCAN,
-            };
-            obs.emit_slow_op(code, dur, &probe);
-        }
-        result
-    }
-
     /// Inserts or updates `key -> value`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.put_opt(key, value, &WriteOptions::default())
@@ -488,10 +445,11 @@ impl Db {
             .stats
             .user_bytes
             .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
-        self.instrument_fg(HistKind::Put, OpKind::Put, key, |_| {
-            self.inner
-                .commit_write(vec![BatchOp::Put(key.to_vec(), value.to_vec())], w, None)
-        })
+        self.inner
+            .instrument_fg(HistKind::Put, OpKind::Put, key, |_| {
+                self.inner
+                    .commit_write(vec![BatchOp::Put(key.to_vec(), value.to_vec())], w, None)
+            })
     }
 
     /// Deletes `key` (writes a point tombstone).
@@ -506,10 +464,11 @@ impl Db {
             .stats
             .user_bytes
             .fetch_add(key.len() as u64, Ordering::Relaxed);
-        self.instrument_fg(HistKind::Delete, OpKind::Delete, key, |_| {
-            self.inner
-                .commit_write(vec![BatchOp::Delete(key.to_vec())], w, None)
-        })
+        self.inner
+            .instrument_fg(HistKind::Delete, OpKind::Delete, key, |_| {
+                self.inner
+                    .commit_write(vec![BatchOp::Delete(key.to_vec())], w, None)
+            })
     }
 
     /// Deletes `key`, promising it was written at most once since the last
@@ -630,7 +589,7 @@ impl Db {
             // read-modify-write contract (see apply_locked).
             let _writer = self.inner.write_mx.lock();
             let snapshot = self.inner.seqno.load(Ordering::Acquire);
-            let current = self.inner.get_at(key, snapshot)?;
+            let current = self.inner.get(key, snapshot, &mut ReadCtx::default())?;
             match f(current.as_deref()) {
                 Some(new) => {
                     self.inner.stats.puts.fetch_add(1, Ordering::Relaxed);
@@ -783,31 +742,20 @@ impl Db {
 
     /// Returns the newest value of `key`, if it exists.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>> {
-        self.instrument_fg(HistKind::Get, OpKind::Get, key, |probe| {
-            self.inner
-                .get_at_probed(key, self.inner.seqno.load(Ordering::Acquire), probe)
-        })
+        self.get_opt(key, &ReadOptions::default())
     }
 
     /// [`Db::get`] with per-read options ([`ReadOptions::snapshot`] reads
     /// at a pinned seqno without holding a [`Snapshot`]).
     pub fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
-        self.instrument_fg(HistKind::Get, OpKind::Get, key, |probe| {
-            let at = opts
-                .snapshot
-                .unwrap_or_else(|| self.inner.seqno.load(Ordering::Acquire));
-            self.inner.get_at_opts(key, at, probe, &opts.table_opts())
-        })
+        fg_get(&self.inner, None, key, opts)
     }
 
     /// Scans `[start, end)` (`None` = unbounded above) at the current
     /// sequence number. The scan histogram records iterator construction
     /// (source collection + merge setup), not iteration.
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter> {
-        self.instrument_fg(HistKind::Scan, OpKind::Scan, start, |probe| {
-            self.inner
-                .scan_at_probed(start, end, self.inner.seqno.load(Ordering::Acquire), probe)
-        })
+        self.scan_opt(start, end, &ReadOptions::default())
     }
 
     /// [`Db::scan`] with per-read options — e.g. `fill_cache: false` for
@@ -818,13 +766,7 @@ impl Db {
         end: Option<&[u8]>,
         opts: &ReadOptions,
     ) -> Result<DbScanIter> {
-        self.instrument_fg(HistKind::Scan, OpKind::Scan, start, |probe| {
-            let at = opts
-                .snapshot
-                .unwrap_or_else(|| self.inner.seqno.load(Ordering::Acquire));
-            self.inner
-                .scan_at_opts(start, end, at, probe, &opts.table_opts())
-        })
+        fg_scan(&self.inner, None, start, end, opts)
     }
 
     /// Pins a consistent read view.
@@ -991,33 +933,63 @@ pub(crate) fn engine_metrics(inner: &Engine) -> MetricsSnapshot {
     }
 }
 
+/// The foreground point read behind every public `get`: sampled by
+/// [`Engine::instrument_fg`], at the seqno [`Engine::read_seqno`] resolves
+/// (`pin` is a [`Snapshot`]'s seqno, `None` through a [`Db`]).
+fn fg_get(
+    engine: &Engine,
+    pin: Option<SeqNo>,
+    key: &[u8],
+    opts: &ReadOptions,
+) -> Result<Option<Value>> {
+    engine.instrument_fg(HistKind::Get, OpKind::Get, key, |probe| {
+        engine.get(key, engine.read_seqno(pin, opts), &mut opts.ctx(probe))
+    })
+}
+
+/// [`fg_get`] for every public `scan`.
+fn fg_scan(
+    engine: &Engine,
+    pin: Option<SeqNo>,
+    start: &[u8],
+    end: Option<&[u8]>,
+    opts: &ReadOptions,
+) -> Result<DbScanIter> {
+    engine.instrument_fg(HistKind::Scan, OpKind::Scan, start, |probe| {
+        engine.scan(
+            start,
+            end,
+            engine.read_seqno(pin, opts),
+            &mut opts.ctx(probe),
+        )
+    })
+}
+
 /// A consistent read surface — either the live [`Db`] (which reads at the
 /// latest published seqno) or a pinned [`Snapshot`]. Benchmarks and the
 /// crash harness are written once against this trait and run on either.
 pub trait ReadView {
-    /// Point lookup.
-    fn get(&self, key: &[u8]) -> Result<Option<Value>>;
     /// Point lookup with per-read options.
     fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>>;
-    /// Range scan over `[start, end)` (`None` = unbounded above).
-    fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter>;
-    /// Range scan with per-read options.
+    /// Range scan over `[start, end)` (`None` = unbounded above) with
+    /// per-read options.
     fn scan_opt(&self, start: &[u8], end: Option<&[u8]>, opts: &ReadOptions) -> Result<DbScanIter>;
     /// The sequence number reads through this view observe.
     fn seqno(&self) -> SeqNo;
+
+    /// Point lookup.
+    fn get(&self, key: &[u8]) -> Result<Option<Value>> {
+        self.get_opt(key, &ReadOptions::default())
+    }
+    /// Range scan over `[start, end)` (`None` = unbounded above).
+    fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter> {
+        self.scan_opt(start, end, &ReadOptions::default())
+    }
 }
 
 impl ReadView for Db {
-    fn get(&self, key: &[u8]) -> Result<Option<Value>> {
-        Db::get(self, key)
-    }
-
     fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
         Db::get_opt(self, key, opts)
-    }
-
-    fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter> {
-        Db::scan(self, start, end)
     }
 
     fn scan_opt(&self, start: &[u8], end: Option<&[u8]>, opts: &ReadOptions) -> Result<DbScanIter> {
@@ -1030,16 +1002,8 @@ impl ReadView for Db {
 }
 
 impl ReadView for Snapshot {
-    fn get(&self, key: &[u8]) -> Result<Option<Value>> {
-        Snapshot::get(self, key)
-    }
-
     fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
         Snapshot::get_opt(self, key, opts)
-    }
-
-    fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter> {
-        Snapshot::scan(self, start, end)
     }
 
     fn scan_opt(&self, start: &[u8], end: Option<&[u8]>, opts: &ReadOptions) -> Result<DbScanIter> {

@@ -12,18 +12,21 @@ use std::time::{Duration, Instant};
 
 use lsm_compaction::{plan_observed, CompactionPlan, Granularity, PickPolicy};
 use lsm_memtable::{make_memtable, MemTable};
-use lsm_obs::{recovery_phase, stall_reason, EventKind, HistKind, ObsHandle, ReadProbe};
-use lsm_sstable::{Table, TableBuilder, TableReadOpts, VecEntryIter};
+use lsm_obs::{
+    key_hash, recovery_phase, slow_op, stall_reason, EventKind, HistKind, ObsHandle, OpKind,
+    ReadProbe,
+};
+use lsm_sstable::{ReadCtx, Table, TableBuilder, VecEntryIter};
 use lsm_storage::{wal, Backend, BlockCache, FileId};
 use lsm_sync::{ranks, Condvar, OrderedMutex, OrderedRwLock};
 use lsm_types::encoding::{put_varint, Decoder};
 use lsm_types::{EntryKind, Error, InternalEntry, Result, SeqNo, UserKey, Value};
 
 use crate::compact::execute_plan;
-use crate::db::{DbScanIter, WriteOptions};
+use crate::db::{DbScanIter, ReadOptions, WriteOptions};
 use crate::manifest::Manifest;
 use crate::options::Options;
-use crate::scan::{build_scan_merge_with, VisibleIter};
+use crate::scan::{build_scan_merge, VisibleIter};
 use crate::stats::DbStats;
 use crate::version::{Run, Version, VersionEdit};
 
@@ -1000,30 +1003,67 @@ impl Engine {
                 .is_some_and(|c| c.config().pin_index_filter)
     }
 
-    pub(crate) fn get_at(&self, key: &[u8], snapshot: SeqNo) -> Result<Option<Value>> {
-        self.get_at_probed(key, snapshot, None)
+    /// Runs one foreground op under a single 1-in-16 sampling decision:
+    /// a sampled op feeds its latency histogram, the workload sampler
+    /// (hashing `key` only then — never on the unsampled fast path), and
+    /// the slow-op check (emitting a receipt with the read-path breakdown
+    /// when it crosses `Options::slow_op_threshold`); the unsampled
+    /// 15-in-16 pay one branch and no clock read. Every public surface
+    /// (`Db`, `Snapshot`, and `ShardedDb` through its shards) reads and
+    /// writes through this one wrapper.
+    #[inline]
+    pub(crate) fn instrument_fg<T>(
+        &self,
+        hist: HistKind,
+        op: OpKind,
+        key: &[u8],
+        run: impl FnOnce(Option<&mut ReadProbe>) -> Result<T>,
+    ) -> Result<T> {
+        let obs = &self.obs;
+        let Some(weight) = obs.fg_sample_weight() else {
+            return run(None);
+        };
+        // An empty key (unbounded scan) has nothing to attribute.
+        let kh = if key.is_empty() { 0 } else { key_hash(key) };
+        obs.workload_record(op, kh, weight);
+        let mut probe = ReadProbe::default();
+        let start = obs.now_nanos();
+        let result = run(Some(&mut probe));
+        let dur = obs.now_nanos().saturating_sub(start);
+        obs.record_weighted(hist, dur, weight);
+        if dur >= self.opts.slow_op_threshold.as_nanos() as u64 {
+            let code = match op {
+                OpKind::Get => slow_op::GET,
+                OpKind::Put => slow_op::PUT,
+                OpKind::Delete => slow_op::DELETE,
+                OpKind::Scan => slow_op::SCAN,
+            };
+            obs.emit_slow_op(code, dur, &probe);
+        }
+        result
     }
 
-    pub(crate) fn get_at_probed(
+    /// The seqno a read observes: the latest published one, unless
+    /// [`ReadOptions::snapshot`] names another; a [`crate::Snapshot`]'s
+    /// `pin` caps either (options may read further into the past than the
+    /// pin, never past it).
+    pub(crate) fn read_seqno(&self, pin: Option<SeqNo>, opts: &ReadOptions) -> SeqNo {
+        match (pin, opts.snapshot) {
+            (Some(pin), Some(at)) => at.min(pin),
+            (Some(at), None) | (None, Some(at)) => at,
+            (None, None) => self.seqno.load(Ordering::Acquire),
+        }
+    }
+
+    /// The point lookup, at `snapshot`: memtables newest-first, then each
+    /// level's runs. `ctx` carries the per-read table options and, on
+    /// sampled foreground gets only, the [`ReadProbe`] attributing where
+    /// the lookup spent its effort.
+    pub(crate) fn get(
         &self,
         key: &[u8],
         snapshot: SeqNo,
-        probe: Option<&mut ReadProbe>,
-    ) -> Result<Option<Value>> {
-        self.get_at_opts(key, snapshot, probe, &TableReadOpts::default())
-    }
-
-    /// [`Self::get_at`] with an optional [`ReadProbe`] attributing where
-    /// the lookup spent its effort (only sampled foreground gets pass one;
-    /// the probe-free path compiles to the same code as before) and the
-    /// per-read [`TableReadOpts`] threaded down from
-    /// [`crate::ReadOptions`].
-    pub(crate) fn get_at_opts(
-        &self,
-        key: &[u8],
-        snapshot: SeqNo,
-        mut probe: Option<&mut ReadProbe>,
-        ropts: &TableReadOpts,
+        ctx: &mut ReadCtx<'_>,
     ) -> Result<Option<Value>> {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
         let (mem_sources, version) = self.read_view();
@@ -1040,9 +1080,7 @@ impl Engine {
         }
 
         for h in &mem_sources {
-            if let Some(p) = probe.as_deref_mut() {
-                p.memtables_probed += 1;
-            }
+            ctx.note(|p| p.memtables_probed += 1);
             if let Some(e) = h.table.get(key, snapshot) {
                 if e.kind() == EntryKind::RangeDelete {
                     // A range tombstone occupies its start key's slot but
@@ -1056,13 +1094,11 @@ impl Engine {
             if level.is_empty() {
                 continue;
             }
-            if let Some(p) = probe.as_deref_mut() {
-                p.levels_touched += 1;
-            }
+            ctx.note(|p| p.levels_touched += 1);
             // Runs within a level are newest-first, matching
             // `runs_newest_first()`.
             for run in level {
-                if let Some(e) = run.get_with(key, snapshot, probe.as_deref_mut(), ropts)? {
+                if let Some(e) = run.get(key, snapshot, ctx)? {
                     if e.kind() == EntryKind::RangeDelete {
                         continue;
                     }
@@ -1096,43 +1132,24 @@ impl Engine {
         (sources, version)
     }
 
-    pub(crate) fn scan_at(
+    /// The range scan over `[start, end)`, at `snapshot`. On sampled scans
+    /// the sources opened are attributed to `ctx.probe` (memtables and
+    /// non-empty levels; block fetches happen lazily during iteration and
+    /// are not attributed); every table iterator the scan opens reads
+    /// under `ctx.opts`.
+    pub(crate) fn scan(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         snapshot: SeqNo,
-    ) -> Result<DbScanIter> {
-        self.scan_at_probed(start, end, snapshot, None)
-    }
-
-    pub(crate) fn scan_at_probed(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        snapshot: SeqNo,
-        probe: Option<&mut ReadProbe>,
-    ) -> Result<DbScanIter> {
-        self.scan_at_opts(start, end, snapshot, probe, &TableReadOpts::default())
-    }
-
-    /// [`Self::scan_at`] attributing the sources opened to `probe` on
-    /// sampled scans (memtables and non-empty levels; block fetches happen
-    /// lazily during iteration and are not attributed), honoring per-read
-    /// options for every table iterator the scan opens.
-    pub(crate) fn scan_at_opts(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        snapshot: SeqNo,
-        probe: Option<&mut ReadProbe>,
-        ropts: &TableReadOpts,
+        ctx: &mut ReadCtx<'_>,
     ) -> Result<DbScanIter> {
         self.stats.scans.fetch_add(1, Ordering::Relaxed);
         let (mem_sources, version) = self.read_view();
-        if let Some(p) = probe {
+        ctx.note(|p| {
             p.memtables_probed += mem_sources.len() as u32;
             p.levels_touched += version.levels.iter().filter(|l| !l.is_empty()).count() as u32;
-        }
+        });
         let mut rts: Vec<(UserKey, UserKey, SeqNo)> = Vec::new();
         let mut mem_entries = Vec::with_capacity(mem_sources.len());
         for h in &mem_sources {
@@ -1142,7 +1159,7 @@ impl Engine {
         for run in version.runs_newest_first() {
             rts.extend(run.range_tombstones.iter().cloned());
         }
-        let merge = build_scan_merge_with(mem_entries, &version, start, end, *ropts);
+        let merge = build_scan_merge(mem_entries, &version, start, end, ctx.opts);
         Ok(DbScanIter::single(VisibleIter::new(
             merge,
             snapshot,

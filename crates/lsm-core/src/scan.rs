@@ -15,18 +15,14 @@ pub(crate) struct BoundedTableIter {
 }
 
 impl BoundedTableIter {
-    pub(crate) fn new(table: &Arc<Table>, start: &[u8], end: Option<&[u8]>) -> Self {
-        Self::new_with(table, start, end, TableReadOpts::default())
-    }
-
-    pub(crate) fn new_with(
+    pub(crate) fn new(
         table: &Arc<Table>,
         start: &[u8],
         end: Option<&[u8]>,
         ropts: TableReadOpts,
     ) -> Self {
         BoundedTableIter {
-            inner: table.scan_from_with(InternalKey::lookup(start, SeqNo::MAX), ropts),
+            inner: table.iter(Some(InternalKey::lookup(start, SeqNo::MAX)), ropts),
             end: end.map(|e| e.to_vec()),
             done: false,
         }
@@ -65,12 +61,7 @@ pub(crate) struct RunScanIter {
 }
 
 impl RunScanIter {
-    pub(crate) fn new_with(
-        run: &Run,
-        start: &[u8],
-        end: Option<&[u8]>,
-        ropts: TableReadOpts,
-    ) -> Self {
+    pub(crate) fn new(run: &Run, start: &[u8], end: Option<&[u8]>, ropts: TableReadOpts) -> Self {
         RunScanIter {
             tables: run.overlapping_tables(start, end),
             current: None,
@@ -96,7 +87,7 @@ impl EntryIter for RunScanIter {
             }
             let table = &self.tables[self.next_idx];
             self.next_idx += 1;
-            self.current = Some(BoundedTableIter::new_with(
+            self.current = Some(BoundedTableIter::new(
                 table,
                 &self.start,
                 self.end.as_deref(),
@@ -107,20 +98,9 @@ impl EntryIter for RunScanIter {
 }
 
 /// Builds the merged source list for a scan over `version` plus memtable
-/// snapshots (`mem_sources`, newest first).
-#[cfg(test)]
+/// snapshots (`mem_sources`, newest first); every table iterator the merge
+/// opens reads under `ropts`.
 pub(crate) fn build_scan_merge(
-    mem_sources: Vec<Vec<InternalEntry>>,
-    version: &Version,
-    start: &[u8],
-    end: Option<&[u8]>,
-) -> MergeIter {
-    build_scan_merge_with(mem_sources, version, start, end, TableReadOpts::default())
-}
-
-/// [`build_scan_merge`] threading per-read options into every table
-/// iterator the merge opens.
-pub(crate) fn build_scan_merge_with(
     mem_sources: Vec<Vec<InternalEntry>>,
     version: &Version,
     start: &[u8],
@@ -132,7 +112,7 @@ pub(crate) fn build_scan_merge_with(
         sources.push(Box::new(VecEntryIter::new(entries)));
     }
     for run in version.runs_newest_first() {
-        sources.push(Box::new(RunScanIter::new_with(run, start, end, ropts)));
+        sources.push(Box::new(RunScanIter::new(run, start, end, ropts)));
     }
     MergeIter::new(sources)
 }
@@ -236,7 +216,7 @@ mod tests {
                 .map(|i| put(&format!("k{i:02}"), "v", i + 1))
                 .collect(),
         );
-        let mut it = BoundedTableIter::new(&t, b"k05", Some(b"k10"));
+        let mut it = BoundedTableIter::new(&t, b"k05", Some(b"k10"), TableReadOpts::default());
         let mut keys = Vec::new();
         while let Some(e) = it.next_entry().unwrap() {
             keys.push(String::from_utf8(e.user_key().as_bytes().to_vec()).unwrap());
@@ -260,7 +240,7 @@ mod tests {
         let version = Version {
             levels: vec![vec![Run::new(vec![new]), Run::new(vec![old])]],
         };
-        let merge = build_scan_merge(vec![], &version, b"", None);
+        let merge = build_scan_merge(vec![], &version, b"", None, TableReadOpts::default());
         let mut vis = VisibleIter::new(merge, SeqNo::MAX, vec![], None);
         let mut out = Vec::new();
         while let Some((k, v)) = vis.next_visible().unwrap() {
@@ -290,7 +270,7 @@ mod tests {
             levels: vec![vec![Run::new(vec![t])]],
         };
         let snap = |s: SeqNo| -> Vec<String> {
-            let merge = build_scan_merge(vec![], &version, b"", None);
+            let merge = build_scan_merge(vec![], &version, b"", None, TableReadOpts::default());
             let mut vis = VisibleIter::new(merge, s, vec![], None);
             let mut out = Vec::new();
             while let Some((_, v)) = vis.next_visible().unwrap() {
@@ -322,7 +302,7 @@ mod tests {
             .runs_newest_first()
             .flat_map(|r| r.range_tombstones.iter().cloned())
             .collect();
-        let merge = build_scan_merge(vec![], &version, b"", None);
+        let merge = build_scan_merge(vec![], &version, b"", None, TableReadOpts::default());
         let mut vis = VisibleIter::new(merge, SeqNo::MAX, rts, None);
         let mut keys = Vec::new();
         while let Some((k, _)) = vis.next_visible().unwrap() {

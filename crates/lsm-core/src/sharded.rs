@@ -704,7 +704,7 @@ impl ShardedDb {
 
     /// Returns the newest value of `key` from its owning shard.
     pub fn get(&self, key: &[u8]) -> Result<Option<Value>> {
-        self.shards[self.shard_of(key)].get(key)
+        self.get_opt(key, &ReadOptions::default())
     }
 
     /// [`ShardedDb::get`] with per-read options, honoured by the owning
@@ -720,11 +720,7 @@ impl ShardedDb {
     /// at that shard's current seqno; the merged view is consistent per
     /// shard but not a single cross-shard snapshot.
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter> {
-        let mut iters = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            iters.push(shard.scan(start, end)?);
-        }
-        DbScanIter::merged(iters)
+        self.scan_opt(start, end, &ReadOptions::default())
     }
 
     /// [`ShardedDb::scan`] with per-read options applied to every shard's
@@ -867,16 +863,8 @@ impl ShardedDb {
 }
 
 impl ReadView for ShardedDb {
-    fn get(&self, key: &[u8]) -> Result<Option<Value>> {
-        ShardedDb::get(self, key)
-    }
-
     fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
         ShardedDb::get_opt(self, key, opts)
-    }
-
-    fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter> {
-        ShardedDb::scan(self, start, end)
     }
 
     fn scan_opt(&self, start: &[u8], end: Option<&[u8]>, opts: &ReadOptions) -> Result<DbScanIter> {

@@ -9,7 +9,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use lsm_compaction::{LevelDesc, RunDesc, TableDesc, TreeDesc};
-use lsm_sstable::Table;
+use lsm_sstable::{ReadCtx, Table};
 use lsm_types::{InternalEntry, Result, SeqNo, UserKey};
 
 /// One sorted run: tables in ascending, non-overlapping key order.
@@ -51,29 +51,11 @@ impl Run {
     }
 
     /// The newest version of `key` visible at `snapshot` within this run.
-    pub fn get(&self, key: &[u8], snapshot: SeqNo) -> Result<Option<InternalEntry>> {
-        self.get_probed(key, snapshot, None)
-    }
-
-    /// [`Self::get`] with a [`lsm_obs::ReadProbe`] riding along on sampled
-    /// foreground lookups.
-    pub fn get_probed(
+    pub fn get(
         &self,
         key: &[u8],
         snapshot: SeqNo,
-        probe: Option<&mut lsm_obs::ReadProbe>,
-    ) -> Result<Option<InternalEntry>> {
-        self.get_with(key, snapshot, probe, &lsm_sstable::TableReadOpts::default())
-    }
-
-    /// [`Self::get_probed`] honoring per-read options (cache fill/pin,
-    /// checksum verification).
-    pub fn get_with(
-        &self,
-        key: &[u8],
-        snapshot: SeqNo,
-        probe: Option<&mut lsm_obs::ReadProbe>,
-        ropts: &lsm_sstable::TableReadOpts,
+        ctx: &mut ReadCtx<'_>,
     ) -> Result<Option<InternalEntry>> {
         // Tables are key-ordered and disjoint: binary search for the one
         // table whose range can contain the key.
@@ -81,7 +63,7 @@ impl Run {
             .tables
             .partition_point(|t| t.meta().key_range.max.as_bytes() < key);
         match self.tables.get(idx) {
-            Some(t) if t.meta().key_range.contains(key) => t.get_with(key, snapshot, probe, ropts),
+            Some(t) if t.meta().key_range.contains(key) => t.get_with(key, snapshot, ctx),
             _ => Ok(None),
         }
     }
@@ -319,19 +301,18 @@ mod tests {
 
     #[test]
     fn run_get_binary_searches_tables() {
+        let get =
+            |run: &Run, key: &[u8]| run.get(key, SeqNo::MAX, &mut ReadCtx::default()).unwrap();
         let backend = Arc::new(MemBackend::new());
         let run = Run::new(vec![
             make_table(&backend, &[("a", 1), ("c", 2)]),
             make_table(&backend, &[("f", 3), ("h", 4)]),
             make_table(&backend, &[("m", 5), ("z", 6)]),
         ]);
-        assert_eq!(run.get(b"f", SeqNo::MAX).unwrap().unwrap().seqno(), 3);
-        assert!(
-            run.get(b"d", SeqNo::MAX).unwrap().is_none(),
-            "gap between tables"
-        );
-        assert!(run.get(b"zz", SeqNo::MAX).unwrap().is_none());
-        assert_eq!(run.get(b"z", SeqNo::MAX).unwrap().unwrap().seqno(), 6);
+        assert_eq!(get(&run, b"f").unwrap().seqno(), 3);
+        assert!(get(&run, b"d").is_none(), "gap between tables");
+        assert!(get(&run, b"zz").is_none());
+        assert_eq!(get(&run, b"z").unwrap().seqno(), 6);
     }
 
     #[test]
@@ -412,22 +393,14 @@ mod tests {
         };
         let next = edit.apply(&base);
         // run 0 must be the new one
-        assert_eq!(
-            next.levels[0][0]
-                .get(b"k", SeqNo::MAX)
-                .unwrap()
-                .unwrap()
-                .seqno(),
-            2
-        );
-        assert_eq!(
-            next.levels[0][1]
-                .get(b"k", SeqNo::MAX)
-                .unwrap()
-                .unwrap()
-                .seqno(),
-            1
-        );
+        let seqnos: Vec<SeqNo> = next.levels[0]
+            .iter()
+            .map(|run| {
+                let e = run.get(b"k", SeqNo::MAX, &mut ReadCtx::default());
+                e.unwrap().unwrap().seqno()
+            })
+            .collect();
+        assert_eq!(seqnos, vec![2, 1]);
     }
 
     #[test]

@@ -263,4 +263,21 @@ fn read_view_unifies_db_and_snapshot() {
     assert_eq!(count_prefix(&db, b"a").unwrap(), 3);
     assert_eq!(count_prefix(&snap, b"a").unwrap(), 2);
     assert!(ReadView::seqno(&snap) < ReadView::seqno(&db));
+
+    // `get`/`scan` are provided methods: a view implements exactly the
+    // `_opt` forms plus `seqno` (a fourth required method fails here).
+    struct Narrowed<'a>(&'a Db);
+    impl ReadView for Narrowed<'_> {
+        fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
+            self.0.get_opt(key, opts)
+        }
+        fn scan_opt(&self, s: &[u8], e: Option<&[u8]>, opts: &ReadOptions) -> Result<DbScanIter> {
+            self.0.scan_opt(s, e, opts)
+        }
+        fn seqno(&self) -> SeqNo {
+            ReadView::seqno(self.0)
+        }
+    }
+    assert_eq!(Narrowed(&db).get(b"c").unwrap().as_deref(), Some(&b"3"[..]));
+    assert_eq!(count_prefix(&Narrowed(&db), b"b").unwrap(), 2);
 }

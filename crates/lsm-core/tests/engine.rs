@@ -4,6 +4,7 @@
 // Test code: panicking on unexpected results is the assertion style.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lsm_core::{DataLayout, Db, Granularity, MemTableKind, Options, PickPolicy, Trigger};
@@ -113,6 +114,54 @@ fn updates_resolve_to_newest_after_compaction() {
         .collect::<Result<_, _>>()
         .unwrap();
     assert_eq!(scanned.len(), 500, "old versions must not surface");
+}
+
+/// A key whose newest version opens an index partition other than the
+/// first must be found by `get` exactly as `scan` finds it (its filter
+/// entry lives in that partition, one past where `(key, MAX)` routes).
+#[test]
+fn get_agrees_with_scan_across_index_partitions() {
+    let mut opts = Options::small_for_benchmarks();
+    // 64-block partitions of 256-byte blocks under 256 KiB tables: every
+    // full table spans over a dozen partitions.
+    opts.block_size = 256;
+    opts.write_buffer_bytes = 256 << 10;
+    opts.table_target_bytes = 256 << 10;
+    let db = Db::builder().options(opts).open().unwrap();
+    let key = |i: u32| format!("key{i:06}").into_bytes();
+    let n = 12_000u32;
+    for i in 0..n {
+        db.put(&key(i), format!("v0-{i}").as_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    for i in (0..n).step_by(3) {
+        db.put(&key(i), format!("v1-{i}").as_bytes()).unwrap();
+    }
+    for i in (0..n).step_by(7) {
+        db.delete(&key(i)).unwrap();
+    }
+    db.flush().unwrap();
+    db.maintain().unwrap();
+    assert!(
+        db.version().all_tables().any(|t| t.aux_block_count() > 2),
+        "tables must span several index partitions"
+    );
+
+    let scanned: BTreeMap<Vec<u8>, Vec<u8>> = db
+        .scan(b"", None)
+        .unwrap()
+        .map(|pair| pair.map(|(k, v)| (k.as_bytes().to_vec(), v.to_vec())))
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert_eq!(scanned.len(), (n - n.div_ceil(7)) as usize);
+    for i in 0..n {
+        let got = db.get(&key(i)).unwrap();
+        let seen = scanned.get(&key(i)).map(Vec::as_slice);
+        assert_eq!(got.as_deref(), seen, "get != scan at key{i:06}");
+        let round = if i % 3 == 0 { 1 } else { 0 };
+        let want = (i % 7 != 0).then(|| format!("v{round}-{i}").into_bytes());
+        assert_eq!(seen, want.as_deref(), "scan wrong at key{i:06}");
+    }
 }
 
 #[test]

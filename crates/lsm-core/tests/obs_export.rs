@@ -9,7 +9,8 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lsm_core::{Db, Event, EventKind, Options, ShardedDb};
+use lsm_core::{Db, Event, EventKind, Options, ReadProbe, ReadView, ShardedDb};
+use lsm_obs::slow_op;
 
 fn churn_opts() -> Options {
     let mut o = Options::small_for_benchmarks();
@@ -74,6 +75,55 @@ fn compaction_spans_enclose_file_io_spans() {
     let ends = trace.matches("\"ph\":\"E\"").count();
     assert_eq!(begins, ends, "unbalanced B/E events in chrome trace");
     assert!(trace.contains("\"name\":\"compaction\""));
+}
+
+/// Snapshot reads go through the same sampled wrapper as `Db` reads: with
+/// a zero slow-op threshold, 64 gets and 64 scans through either view
+/// leave four receipts each (1-in-16 sampling), every receipt carries a
+/// read-path breakdown, and the workload op mix counts all of them.
+#[test]
+fn snapshot_reads_are_instrumented_like_db_reads() {
+    let mut opts = churn_opts();
+    opts.slow_op_threshold = Duration::ZERO;
+    let db = Db::builder().options(opts).open().unwrap();
+    churn(&db);
+    let snap = db.snapshot();
+
+    let receipts = |code: u64| -> Vec<ReadProbe> {
+        let of_code = |e: &&Event| e.kind == EventKind::SlowOp && ReadProbe::unpack_op(e.b) == code;
+        let events = db.obs().events();
+        events
+            .iter()
+            .filter(of_code)
+            .map(|e| ReadProbe::unpack(e.b))
+            .collect()
+    };
+    fn read_64<V: ReadView>(view: &V) {
+        for i in 0..64u32 {
+            let key = format!("key-{i:05}");
+            assert!(view.get(key.as_bytes()).unwrap().is_some());
+        }
+        for i in 0..64u32 {
+            let key = format!("key-{i:05}");
+            assert!(view.scan(key.as_bytes(), None).unwrap().next().is_some());
+        }
+    }
+
+    read_64(&db);
+    let (db_gets, db_scans) = (receipts(slow_op::GET), receipts(slow_op::SCAN));
+    let db_mix = db.obs().workload();
+    assert_eq!((db_gets.len(), db_scans.len()), (4, 4));
+    assert_eq!((db_mix.gets, db_mix.scans), (64, 64));
+
+    read_64(&snap);
+    let (gets, scans) = (receipts(slow_op::GET), receipts(slow_op::SCAN));
+    let mix = db.obs().workload();
+    assert_eq!((gets.len(), scans.len()), (8, 8), "snapshot reads sampled");
+    assert_eq!((mix.gets, mix.scans), (128, 128), "snapshot reads counted");
+    for probe in gets.iter().chain(&scans) {
+        assert!(probe.memtables_probed > 0, "empty probe: {probe:?}");
+    }
+    assert!(scans.iter().all(|p| p.levels_touched > 0));
 }
 
 /// A `Write` sink the test can read back after the exporter thread wrote

@@ -108,7 +108,7 @@ pub struct TableBuilder {
     /// `filter_marks[b]` = number of filter keys accumulated once block `b`
     /// was sealed, so `finish` can slice `filter_keys` per partition. A key
     /// whose versions span blocks is attributed to the block where it first
-    /// appeared, matching the `(key, SeqNo::MAX)` routing readers use.
+    /// appeared; `Table::get_with` routes its filter probe to match.
     filter_marks: Vec<usize>,
 }
 

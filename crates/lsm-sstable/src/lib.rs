@@ -34,7 +34,7 @@ pub use block::{BlockBuilder, BlockIter};
 pub use builder::{TableBuilder, TableBuilderOptions};
 pub use iter::{collect_all, EntryIter, MergeIter, VecEntryIter};
 pub use meta::TableMeta;
-pub use reader::{Table, TableIter, TableReadOpts};
+pub use reader::{ReadCtx, Table, TableIter, TableReadOpts};
 
 /// Target uncompressed size of one data block: one I/O page.
 pub const BLOCK_SIZE: usize = lsm_types::PAGE_SIZE;

@@ -57,6 +57,29 @@ impl Default for TableReadOpts {
     }
 }
 
+/// What one read carries down the stack — the per-read options plus, on
+/// sampled foreground ops, the [`ReadProbe`] its stages add to. Every
+/// layer's read entry point (`Table`, the engine's `Run` and `Engine`)
+/// takes exactly this, so a new per-read fact has one place to land.
+#[derive(Default)]
+pub struct ReadCtx<'a> {
+    /// Cache fill/pin and checksum behaviour for this read.
+    pub opts: TableReadOpts,
+    /// Filter consults, block fetches and cache hit/miss attribution
+    /// accumulate here so a sampled lookup can explain where it went.
+    pub probe: Option<&'a mut ReadProbe>,
+}
+
+impl ReadCtx<'_> {
+    /// Applies `f` to the probe when this read carries one.
+    #[inline]
+    pub fn note(&mut self, f: impl FnOnce(&mut ReadProbe)) {
+        if let Some(p) = self.probe.as_deref_mut() {
+            f(p);
+        }
+    }
+}
+
 /// Per-table read statistics.
 #[derive(Default, Debug)]
 struct ReadStats {
@@ -264,12 +287,9 @@ impl Table {
         offset: u64,
         len: usize,
         kind: BlockKind,
-        probe: Option<&mut ReadProbe>,
-        ropts: &TableReadOpts,
+        ctx: &mut ReadCtx<'_>,
     ) -> Result<Bytes> {
-        if let Some(p) = probe {
-            p.aux_fetches += 1;
-        }
+        ctx.note(|p| p.aux_fetches += 1);
         if let Some(cache) = &self.cache {
             let key = BlockKey {
                 file: self.file,
@@ -279,7 +299,7 @@ impl Table {
                 return Ok(bytes);
             }
             let bytes = self.backend.read(self.file, offset, len)?;
-            cache.insert_kind(key, bytes.clone(), kind, ropts.pin_index_filter);
+            cache.insert_kind(key, bytes.clone(), kind, ctx.opts.pin_index_filter);
             return Ok(bytes);
         }
         self.backend.read(self.file, offset, len)
@@ -287,23 +307,12 @@ impl Table {
 
     /// The fences of index partition `pi` (shared when resident, decoded
     /// from the cached partition block otherwise).
-    fn partition_fences(
-        &self,
-        pi: usize,
-        probe: Option<&mut ReadProbe>,
-        ropts: &TableReadOpts,
-    ) -> Result<Arc<Vec<Fence>>> {
+    fn partition_fences(&self, pi: usize, ctx: &mut ReadCtx<'_>) -> Result<Arc<Vec<Fence>>> {
         match &self.aux {
             AuxData::Resident { fences, .. } => Ok(Arc::clone(&fences[pi])),
             AuxData::Cached => {
                 let part = &self.partitions[pi];
-                let bytes = self.read_aux(
-                    part.offset,
-                    part.len as usize,
-                    BlockKind::Index,
-                    probe,
-                    ropts,
-                )?;
+                let bytes = self.read_aux(part.offset, part.len as usize, BlockKind::Index, ctx)?;
                 Ok(Arc::new(decode_index(&bytes)?))
             }
         }
@@ -311,19 +320,11 @@ impl Table {
 
     /// Consults partition `pi`'s filter; `true` means the key may be
     /// present (absent filters always pass).
-    fn filter_may_contain(
-        &self,
-        pi: usize,
-        key: &[u8],
-        mut probe: Option<&mut ReadProbe>,
-        ropts: &TableReadOpts,
-    ) -> Result<bool> {
+    fn filter_may_contain(&self, pi: usize, key: &[u8], ctx: &mut ReadCtx<'_>) -> Result<bool> {
         match &self.aux {
             AuxData::Resident { filters, .. } => match &filters[pi] {
                 Some(filter) => {
-                    if let Some(p) = probe.as_deref_mut() {
-                        p.filters_consulted += 1;
-                    }
+                    ctx.note(|p| p.filters_consulted += 1);
                     Ok(filter.may_contain(key))
                 }
                 None => Ok(true),
@@ -336,10 +337,8 @@ impl Table {
                 if flen == 0 {
                     return Ok(true);
                 }
-                if let Some(p) = probe.as_deref_mut() {
-                    p.filters_consulted += 1;
-                }
-                let bytes = self.read_aux(foff, flen as usize, BlockKind::Filter, probe, ropts)?;
+                ctx.note(|p| p.filters_consulted += 1);
+                let bytes = self.read_aux(foff, flen as usize, BlockKind::Filter, ctx)?;
                 match point_filter_from_bytes(kind, &bytes)? {
                     Some(filter) => Ok(filter.may_contain(key)),
                     None => Ok(true),
@@ -359,40 +358,27 @@ impl Table {
     /// Reads a data block, through the cache when one is configured.
     /// Returns the block and whether it came from the cache (already
     /// CRC-verified at fill time).
-    fn read_block_fence(
-        &self,
-        fence: &Fence,
-        mut probe: Option<&mut ReadProbe>,
-        ropts: &TableReadOpts,
-    ) -> Result<(Bytes, bool)> {
-        if let Some(p) = probe.as_deref_mut() {
-            p.blocks_fetched += 1;
-        }
+    fn read_block_fence(&self, fence: &Fence, ctx: &mut ReadCtx<'_>) -> Result<(Bytes, bool)> {
+        ctx.note(|p| p.blocks_fetched += 1);
         if let Some(cache) = &self.cache {
             let key = BlockKey {
                 file: self.file,
                 offset: fence.offset,
             };
             if let Some(block) = cache.get(&key) {
-                if let Some(p) = probe.as_deref_mut() {
-                    p.cache_hits += 1;
-                }
+                ctx.note(|p| p.cache_hits += 1);
                 return Ok((block, true));
             }
-            if let Some(p) = probe.as_deref_mut() {
-                p.cache_misses += 1;
-            }
+            ctx.note(|p| p.cache_misses += 1);
             let block = self
                 .backend
                 .read(self.file, fence.offset, fence.len as usize)?;
-            if ropts.fill_cache {
+            if ctx.opts.fill_cache {
                 cache.insert(key, block.clone());
             }
             return Ok((block, false));
         }
-        if let Some(p) = probe {
-            p.cache_misses += 1;
-        }
+        ctx.note(|p| p.cache_misses += 1);
         let block = self
             .backend
             .read(self.file, fence.offset, fence.len as usize)?;
@@ -419,7 +405,7 @@ impl Table {
         let Some(cache) = &self.cache else {
             return Ok(());
         };
-        let ropts = TableReadOpts::default();
+        let mut ctx = ReadCtx::default();
         for (pi, part) in self.partitions.iter().enumerate() {
             let ikey = BlockKey {
                 file: self.file,
@@ -442,7 +428,7 @@ impl Table {
                     cache.insert_kind(fkey, bytes, BlockKind::Filter, false);
                 }
             }
-            let fences = self.partition_fences(pi, None, &ropts)?;
+            let fences = self.partition_fences(pi, &mut ctx)?;
             for fence in fences.iter() {
                 let key = BlockKey {
                     file: self.file,
@@ -462,39 +448,37 @@ impl Table {
     /// The newest version of `key` visible at `snapshot`, if this table has
     /// one. Tombstones are returned, not interpreted.
     pub fn get(&self, key: &[u8], snapshot: SeqNo) -> Result<Option<InternalEntry>> {
-        self.get_with(key, snapshot, None, &TableReadOpts::default())
+        self.get_with(key, snapshot, &mut ReadCtx::default())
     }
 
-    /// [`Self::get`] with a [`ReadProbe`] riding along: filter consults,
-    /// block fetches, and cache hit/miss attribution accumulate into
-    /// `probe` so sampled foreground lookups can explain where they spent
-    /// their time.
-    pub fn get_probed(
-        &self,
-        key: &[u8],
-        snapshot: SeqNo,
-        read_probe: Option<&mut ReadProbe>,
-    ) -> Result<Option<InternalEntry>> {
-        self.get_with(key, snapshot, read_probe, &TableReadOpts::default())
-    }
-
-    /// [`Self::get_probed`] honoring per-read options.
+    /// The point lookup: [`Self::get`] under a caller's [`ReadCtx`].
     pub fn get_with(
         &self,
         key: &[u8],
         snapshot: SeqNo,
-        mut read_probe: Option<&mut ReadProbe>,
-        ropts: &TableReadOpts,
+        ctx: &mut ReadCtx<'_>,
     ) -> Result<Option<InternalEntry>> {
         if !self.meta.key_range.contains(key) {
             return Ok(None);
         }
         if self.filter_kind.is_some() {
-            // Filters route by `(key, MAX)` — the partition holding the
-            // key's *newest* version is where its filter entry lives, even
-            // when the snapshot routes the data probe to a later partition.
+            // A key's filter entry lives in the partition where the builder
+            // first saw it, even when the snapshot routes the data probe to a
+            // later one. `(key, MAX)` sorts before every real version, so it
+            // routes there — except when the key's newest version opens a
+            // partition: then the routing lands one partition early, on a
+            // filter that never saw the key, and the next one is asked too.
             let fpi = self.partition_for(&InternalKey::lookup(key, SeqNo::MAX));
-            if !self.filter_may_contain(fpi, key, read_probe.as_deref_mut(), ropts)? {
+            let mut may_contain = self.filter_may_contain(fpi, key, ctx)?;
+            if !may_contain
+                && self
+                    .partitions
+                    .get(fpi + 1)
+                    .is_some_and(|next| next.first_key.user_key.as_bytes() == key)
+            {
+                may_contain = self.filter_may_contain(fpi + 1, key, ctx)?;
+            }
+            if !may_contain {
                 self.stats.filter_negatives.fetch_add(1, Ordering::Relaxed);
                 return Ok(None);
             }
@@ -502,7 +486,7 @@ impl Table {
         self.stats.block_probes.fetch_add(1, Ordering::Relaxed);
         let probe = InternalKey::lookup(key, snapshot);
         let mut pi = self.partition_for(&probe);
-        let mut fences = self.partition_fences(pi, read_probe.as_deref_mut(), ropts)?;
+        let mut fences = self.partition_fences(pi, ctx)?;
         let mut bi = fences
             .partition_point(|f| f.first_key <= probe)
             .saturating_sub(1);
@@ -510,9 +494,8 @@ impl Table {
         // of the next block (possibly in the next partition) when the probe
         // falls past the chosen block's last entry.
         loop {
-            let (block, from_cache) =
-                self.read_block_fence(&fences[bi], read_probe.as_deref_mut(), ropts)?;
-            let mut it = Self::block_iter(block, from_cache, ropts)?;
+            let (block, from_cache) = self.read_block_fence(&fences[bi], ctx)?;
+            let mut it = Self::block_iter(block, from_cache, &ctx.opts)?;
             it.seek(&probe)?;
             if let Some(entry) = it.next().transpose()? {
                 return Ok((entry.user_key().as_bytes() == key).then_some(entry));
@@ -525,7 +508,7 @@ impl Table {
                 if pi >= self.partitions.len() {
                     return Ok(None);
                 }
-                fences = self.partition_fences(pi, read_probe.as_deref_mut(), ropts)?;
+                fences = self.partition_fences(pi, ctx)?;
                 bi = 0;
                 if fences.is_empty() {
                     return Ok(None);
@@ -539,39 +522,21 @@ impl Table {
 
     /// An owning iterator over the whole table.
     pub fn scan(self: &Arc<Self>) -> TableIter {
-        self.scan_with(TableReadOpts::default())
+        self.iter(None, TableReadOpts::default())
     }
 
-    /// [`Self::scan`] honoring per-read options.
-    pub fn scan_with(self: &Arc<Self>, ropts: TableReadOpts) -> TableIter {
+    /// The iterator constructor: positioned at the first entry with
+    /// internal key `>= start` (`None` = the table's first entry), reading
+    /// under `opts`.
+    pub fn iter(self: &Arc<Self>, start: Option<InternalKey>, opts: TableReadOpts) -> TableIter {
         TableIter {
             table: Arc::clone(self),
-            pi: 0,
+            pi: start.as_ref().map_or(0, |probe| self.partition_for(probe)),
             bi: 0,
             fences: None,
             current: None,
-            start: None,
-            ropts,
-        }
-    }
-
-    /// An owning iterator positioned at the first entry with internal key
-    /// `>= probe`.
-    pub fn scan_from(self: &Arc<Self>, probe: InternalKey) -> TableIter {
-        self.scan_from_with(probe, TableReadOpts::default())
-    }
-
-    /// [`Self::scan_from`] honoring per-read options.
-    pub fn scan_from_with(self: &Arc<Self>, probe: InternalKey, ropts: TableReadOpts) -> TableIter {
-        let pi = self.partition_for(&probe);
-        TableIter {
-            table: Arc::clone(self),
-            pi,
-            bi: 0,
-            fences: None,
-            current: None,
-            start: Some(probe),
-            ropts,
+            start,
+            ctx: ReadCtx { opts, probe: None },
         }
     }
 }
@@ -609,7 +574,7 @@ pub struct TableIter {
     current: Option<crate::block::BlockIter>,
     /// Seek target applied to the first opened block.
     start: Option<InternalKey>,
-    ropts: TableReadOpts,
+    ctx: ReadCtx<'static>,
 }
 
 impl EntryIter for TableIter {
@@ -627,7 +592,7 @@ impl EntryIter for TableIter {
             let fences = match &self.fences {
                 Some(f) => Arc::clone(f),
                 None => {
-                    let f = self.table.partition_fences(self.pi, None, &self.ropts)?;
+                    let f = self.table.partition_fences(self.pi, &mut self.ctx)?;
                     if let Some(probe) = &self.start {
                         // First positioning: land on the block that could
                         // contain the seek target.
@@ -645,11 +610,11 @@ impl EntryIter for TableIter {
                 self.fences = None;
                 continue;
             }
-            let (bytes, from_cache) =
-                self.table
-                    .read_block_fence(&fences[self.bi], None, &self.ropts)?;
+            let (bytes, from_cache) = self
+                .table
+                .read_block_fence(&fences[self.bi], &mut self.ctx)?;
             self.bi += 1;
-            let mut block = Table::block_iter(bytes, from_cache, &self.ropts)?;
+            let mut block = Table::block_iter(bytes, from_cache, &self.ctx.opts)?;
             if let Some(probe) = self.start.take() {
                 block.seek(&probe)?;
             }
@@ -687,6 +652,13 @@ mod tests {
         let (file, _) = b.finish(backend.as_ref()).unwrap();
         let table = Table::open(backend.clone() as Arc<dyn Backend>, file, cache).unwrap();
         (backend, table)
+    }
+
+    fn probed(probe: &mut ReadProbe) -> ReadCtx<'_> {
+        ReadCtx {
+            probe: Some(probe),
+            ..ReadCtx::default()
+        }
     }
 
     /// A table forced to span several index partitions (4 blocks each).
@@ -784,7 +756,7 @@ mod tests {
         let cache = test_cache(1 << 22);
         let (backend, t) = build_partitioned(2000, Some(cache), false);
         let mut probe = ReadProbe::default();
-        t.get_probed(b"key000777", SeqNo::MAX, Some(&mut probe))
+        t.get_with(b"key000777", SeqNo::MAX, &mut probed(&mut probe))
             .unwrap();
         assert_eq!(probe.aux_fetches, 2, "one filter + one index partition");
         assert_eq!(probe.blocks_fetched, 1);
@@ -793,7 +765,7 @@ mod tests {
         // Second lookup: aux comes from the cache, no backend reads at all.
         let before = backend.stats().snapshot();
         let mut probe = ReadProbe::default();
-        t.get_probed(b"key000777", SeqNo::MAX, Some(&mut probe))
+        t.get_with(b"key000777", SeqNo::MAX, &mut probed(&mut probe))
             .unwrap();
         assert_eq!(backend.stats().snapshot().delta(&before).read_ops, 0);
         assert_eq!(probe.aux_fetches, 2);
@@ -877,7 +849,7 @@ mod tests {
         let cache = test_cache(1 << 20);
         let (_, t) = build_table(2000, Some(cache));
         let mut probe = ReadProbe::default();
-        t.get_probed(b"key000777", SeqNo::MAX, Some(&mut probe))
+        t.get_with(b"key000777", SeqNo::MAX, &mut probed(&mut probe))
             .unwrap();
         assert_eq!(probe.filters_consulted, 1);
         assert_eq!(probe.blocks_fetched, 1);
@@ -885,13 +857,13 @@ mod tests {
 
         // Repeat lookup: same block now comes from the cache.
         let mut probe = ReadProbe::default();
-        t.get_probed(b"key000777", SeqNo::MAX, Some(&mut probe))
+        t.get_with(b"key000777", SeqNo::MAX, &mut probed(&mut probe))
             .unwrap();
         assert_eq!((probe.cache_hits, probe.cache_misses), (1, 0));
 
         // Filter-rejected probe consults the filter but fetches nothing.
         let mut probe = ReadProbe::default();
-        t.get_probed(b"key000777xx", SeqNo::MAX, Some(&mut probe))
+        t.get_with(b"key000777xx", SeqNo::MAX, &mut probed(&mut probe))
             .unwrap();
         assert_eq!(probe.filters_consulted, 1);
         assert_eq!(probe.blocks_fetched, 0);
@@ -901,11 +873,9 @@ mod tests {
     fn fill_cache_false_leaves_cache_untouched() {
         let cache = test_cache(1 << 20);
         let (_, t) = build_table(2000, Some(cache.clone()));
-        let ropts = TableReadOpts {
-            fill_cache: false,
-            ..TableReadOpts::default()
-        };
-        t.get_with(b"key000777", SeqNo::MAX, None, &ropts).unwrap();
+        let mut ctx = ReadCtx::default();
+        ctx.opts.fill_cache = false;
+        t.get_with(b"key000777", SeqNo::MAX, &mut ctx).unwrap();
         // Aux partitions are always cached (routing hot set) but the data
         // block must not be.
         assert_eq!(
@@ -951,7 +921,7 @@ mod tests {
     fn scan_from_seeks_across_blocks() {
         let (_, t) = build_table(3000, None);
         let probe = InternalKey::lookup(b"key002500", SeqNo::MAX);
-        let mut it = t.scan_from(probe);
+        let mut it = t.iter(Some(probe), TableReadOpts::default());
         let first = it.next_entry().unwrap().unwrap();
         assert_eq!(first.user_key().as_bytes(), b"key002500");
         let mut count = 1;
@@ -965,7 +935,7 @@ mod tests {
     fn scan_from_seeks_across_partitions() {
         let (_, t) = build_partitioned(3000, None, false);
         let probe = InternalKey::lookup(b"key002500", SeqNo::MAX);
-        let mut it = t.scan_from(probe);
+        let mut it = t.iter(Some(probe), TableReadOpts::default());
         let first = it.next_entry().unwrap().unwrap();
         assert_eq!(first.user_key().as_bytes(), b"key002500");
         let mut count = 1;
@@ -1034,12 +1004,12 @@ mod tests {
     fn cache_hit_returns_aliasing_bytes() {
         let cache = test_cache(1 << 22);
         let (_, t) = build_partitioned(2000, Some(cache), false);
-        let ropts = TableReadOpts::default();
-        let fences = t.partition_fences(0, None, &ropts).unwrap();
-        let (first, from_cache) = t.read_block_fence(&fences[0], None, &ropts).unwrap();
+        let mut ctx = ReadCtx::default();
+        let fences = t.partition_fences(0, &mut ctx).unwrap();
+        let (first, from_cache) = t.read_block_fence(&fences[0], &mut ctx).unwrap();
         assert!(!from_cache, "first read goes to the backend");
-        let (a, hit_a) = t.read_block_fence(&fences[0], None, &ropts).unwrap();
-        let (b, hit_b) = t.read_block_fence(&fences[0], None, &ropts).unwrap();
+        let (a, hit_a) = t.read_block_fence(&fences[0], &mut ctx).unwrap();
+        let (b, hit_b) = t.read_block_fence(&fences[0], &mut ctx).unwrap();
         assert!(hit_a && hit_b);
         assert_eq!(
             a.as_ptr(),
@@ -1054,10 +1024,10 @@ mod tests {
         let cache = test_cache(1 << 22);
         let (_, t) = build_partitioned(2000, Some(cache.clone()), true);
         assert!(cache.pinned_bytes() > 0, "pinned aux charged at open");
-        let ropts = TableReadOpts::default();
-        let fences = t.partition_fences(0, None, &ropts).unwrap();
-        t.read_block_fence(&fences[0], None, &ropts).unwrap();
-        let (held, _) = t.read_block_fence(&fences[0], None, &ropts).unwrap();
+        let mut ctx = ReadCtx::default();
+        let fences = t.partition_fences(0, &mut ctx).unwrap();
+        t.read_block_fence(&fences[0], &mut ctx).unwrap();
+        let (held, _) = t.read_block_fence(&fences[0], &mut ctx).unwrap();
 
         let stop = Arc::new(AtomicBool::new(false));
         let mut readers = Vec::new();
@@ -1092,7 +1062,7 @@ mod tests {
         // A Bytes handle taken before the invalidation still reads
         // correctly: the refcount keeps the allocation alive after the
         // cache dropped its reference.
-        let mut it = Table::block_iter(held, true, &ropts).unwrap();
+        let mut it = Table::block_iter(held, true, &ctx.opts).unwrap();
         let e = it.next().unwrap().unwrap();
         assert_eq!(e.user_key().as_bytes(), b"key000000");
 

@@ -285,20 +285,6 @@ impl BlockCache {
         }
     }
 
-    /// Creates a cache bounded at `capacity_bytes` total with default
-    /// sharding and no pinning policy.
-    // Kept one release cycle for source compatibility while external
-    // callers migrate to `with_config`/`DbBuilder::cache_config`.
-    // no-deprecated: allow(block-cache-new): sunset next release cycle
-    #[deprecated(note = "construct through DbBuilder::cache_config or BlockCache::with_config")]
-    pub fn new(capacity_bytes: usize) -> Self {
-        BlockCache::with_config(CacheConfig {
-            capacity_bytes,
-            shard_bits: 4,
-            pin_index_filter: false,
-        })
-    }
-
     /// The configuration this cache was built with.
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
@@ -483,16 +469,6 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert!((s.hit_ratio() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deprecated_new_still_works() {
-        #[allow(deprecated)]
-        let c = BlockCache::new(1 << 20);
-        c.insert(key(1, 0), block(10));
-        assert!(c.get(&key(1, 0)).is_some());
-        assert_eq!(c.shard_count(), SHARDS);
-        assert!(!c.config().pin_index_filter);
     }
 
     #[test]

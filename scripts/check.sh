@@ -58,6 +58,15 @@ check_no_deprecated() {
     return "$bad"
 }
 
+# The benchmark in perf/ is a separately locked workspace with path deps
+# into crates/*: an engine-side rename that breaks it must fail here, not
+# in the benchmark driver. Its tests, then the 1 %-scale run of all four
+# workloads (a few seconds).
+perf_smoke() {
+    cargo test -q --release --offline --manifest-path perf/Cargo.toml &&
+        bash perf/run.sh smoke
+}
+
 run_step "fmt"      cargo fmt --all --check
 run_step "clippy"   cargo clippy --workspace --all-targets -- -D warnings
 run_step "lsm-lint" cargo run -q -p lsm-lint
@@ -102,6 +111,7 @@ run_step "obs-overhead" cargo test -q --release --test obs_overhead -- --ignored
 # p99 ahead of the unpinned-aux policy (paired A/B, median of round ratios;
 # release for the same reason as obs-overhead).
 run_step "read-regression" cargo test -q --release --test read_regression -- --ignored
+run_step "perf-smoke" perf_smoke
 
 if [ -n "$ONLY" ] && [ "$ONLY_MATCHED" -eq 0 ]; then
     echo "CHECK_ONLY=$ONLY matches no step" >&2

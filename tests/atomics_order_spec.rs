@@ -57,8 +57,8 @@ fn atomics_spec_is_current_and_the_publication_protocol_holds() {
     assert_eq!(seqno.stores, ["Release"], "seqno publishes with Release");
     assert_eq!(seqno.loads, ["Acquire"], "snapshots consume with Acquire");
     assert!(
-        seqno.consumers.iter().any(|c| c == "get"),
-        "point reads pin the snapshot seqno: {:?}",
+        seqno.consumers.iter().any(|c| c == "read_seqno"),
+        "every read pins its seqno in `Engine::read_seqno`: {:?}",
         seqno.consumers
     );
 
