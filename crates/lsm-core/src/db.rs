@@ -677,16 +677,14 @@ impl Db {
             }
         }
         if let Some(b) = builder.take() {
-            if !b.is_empty() {
-                let (file, _) = b.finish(self.inner.backend.as_ref())?;
-                // Bulk load owns the writer ticket end-to-end by design.
-                // lsm-lint: allow(io-under-lock)
-                tables.push(Table::open(
-                    self.inner.backend.clone(),
-                    file,
-                    self.inner.cache.clone(),
-                )?);
-            }
+            let (file, _) = b.finish(self.inner.backend.as_ref())?;
+            // Bulk load owns the writer ticket end-to-end by design.
+            // lsm-lint: allow(io-under-lock)
+            tables.push(Table::open(
+                self.inner.backend.clone(),
+                file,
+                self.inner.cache.clone(),
+            )?);
         }
         if tables.is_empty() {
             return Ok(());

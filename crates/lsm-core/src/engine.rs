@@ -16,13 +16,13 @@ use lsm_obs::{
     key_hash, recovery_phase, slow_op, stall_reason, EventKind, HistKind, ObsHandle, OpKind,
     ReadProbe,
 };
-use lsm_sstable::{ReadCtx, Table, TableBuilder, VecEntryIter};
+use lsm_sstable::{ReadCtx, Table, VecEntryIter};
 use lsm_storage::{wal, Backend, BlockCache, FileId};
 use lsm_sync::{ranks, Condvar, OrderedMutex, OrderedRwLock};
 use lsm_types::encoding::{put_varint, Decoder};
 use lsm_types::{EntryKind, Error, InternalEntry, Result, SeqNo, UserKey, Value};
 
-use crate::compact::execute_plan;
+use crate::compact::{execute_plan, GcRules, OutputWriter};
 use crate::db::{DbScanIter, ReadOptions, WriteOptions};
 use crate::manifest::Manifest;
 use crate::options::Options;
@@ -718,12 +718,17 @@ impl Engine {
                 let seqno = base + 1 + i;
                 let ts = ts0 + i;
                 i += 1;
+                // Copied once, from the request's slices into the buffers
+                // the memtable keeps (key comparisons then chase a single
+                // pointer; an adopted `Vec` would add a second).
                 entries.push(match op {
-                    BatchOp::Put(k, v) => InternalEntry::put(k.clone(), v.clone(), seqno, ts),
-                    BatchOp::Delete(k) => InternalEntry::delete(k.clone(), seqno, ts),
-                    BatchOp::SingleDelete(k) => InternalEntry::single_delete(k.clone(), seqno, ts),
+                    BatchOp::Put(k, v) => {
+                        InternalEntry::put(&k[..], Value::copy_from_slice(v), seqno, ts)
+                    }
+                    BatchOp::Delete(k) => InternalEntry::delete(&k[..], seqno, ts),
+                    BatchOp::SingleDelete(k) => InternalEntry::single_delete(&k[..], seqno, ts),
                     BatchOp::DeleteRange(s, e) => {
-                        InternalEntry::range_delete(s.clone(), e.clone(), seqno, ts)
+                        InternalEntry::range_delete(&s[..], &e[..], seqno, ts)
                     }
                 });
             }
@@ -1102,7 +1107,10 @@ impl Engine {
                     if e.kind() == EntryKind::RangeDelete {
                         continue;
                     }
-                    return Ok(Self::interpret(e, covering));
+                    // A table's entry is a slice of its block: the caller
+                    // gets a copy, so a value it holds on to never pins
+                    // the 4 KiB around it.
+                    return Ok(Self::interpret(e, covering).map(|v| Value::copy_from_slice(&v)));
                 }
             }
         }
@@ -1245,6 +1253,20 @@ impl Engine {
         alloc.get(level).copied().unwrap_or(0.0)
     }
 
+    /// The writer of a compaction's tables landing at `level`.
+    fn output_writer(&self, version: &Version, level: usize) -> OutputWriter<'_> {
+        OutputWriter {
+            backend: &self.backend,
+            cache: self.cache.as_ref(),
+            opts: &self.opts,
+            obs: &self.obs,
+            bits_per_key: self.bits_for_level(version, level),
+            target_bytes: self.opts.table_target_bytes,
+            pin_aux: self.pin_for_level(level),
+            warm_cache: self.opts.warm_cache_after_compaction,
+        }
+    }
+
     pub(crate) fn try_flush_one(&self) -> Result<bool> {
         // Claim the oldest immutable memtable not already being flushed.
         let handle = {
@@ -1293,30 +1315,41 @@ impl Engine {
     }
 
     fn flush_handle_inner(&self, handle: &Arc<MemHandle>, flushed_bytes: &mut u64) -> Result<()> {
+        // The memtable goes through the same GC → writer path as a
+        // compaction's merge, as a non-bottommost job: versions no snapshot
+        // can read are dropped here instead of being written, read back and
+        // dropped by the first compaction; tombstones all survive. The
+        // snapshot list is read after the memtable froze, so every seqno in
+        // it is final and a later snapshot sees only its newest versions.
         let entries = handle.table.sorted_entries();
-        let new_run = if entries.is_empty() {
-            None
-        } else {
-            let version = self.current.lock().clone();
-            let bits = self.bits_for_level(&version, 0);
-            let mut builder = TableBuilder::new(self.opts.table_options(bits));
-            let mut it = VecEntryIter::new(entries);
-            use lsm_sstable::EntryIter;
-            while let Some(e) = it.next_entry()? {
-                builder.add(&e)?;
-            }
-            let (file, _) = builder.finish(self.backend.as_ref())?;
-            let bytes = self.backend.len(file)?;
-            self.stats.flush_bytes.fetch_add(bytes, Ordering::Relaxed);
-            *flushed_bytes = bytes;
-            let table = Table::open_pinned(
-                self.backend.clone(),
-                file,
-                self.cache.clone(),
-                self.pin_for_level(0),
-            )?;
-            Some(Run::new(vec![table]))
+        let snapshots: Vec<SeqNo> = self.snapshots.lock().keys().copied().collect();
+        let version = self.current.lock().clone();
+        let writer = OutputWriter {
+            target_bytes: u64::MAX, // one memtable, one table
+            warm_cache: false,
+            ..self.output_writer(&version, 0)
         };
+        let written = writer.write(
+            VecEntryIter::new(entries),
+            GcRules {
+                snapshots: &snapshots,
+                bottommost: false,
+                range_tombstones: handle.rt_list(),
+                may_drop_range_tombstone: &|_| false,
+            },
+            handle.table.approximate_size() as u64,
+        )?;
+        self.stats
+            .flush_bytes
+            .fetch_add(written.bytes_written, Ordering::Relaxed);
+        self.stats
+            .gc_dropped_entries
+            .fetch_add(written.dropped_entries, Ordering::Relaxed);
+        self.stats
+            .tombstones_purged
+            .fetch_add(written.tombstones_purged, Ordering::Relaxed);
+        *flushed_bytes = written.bytes_written;
+        let new_run = (!written.tables.is_empty()).then(|| Run::new(written.tables));
 
         // Commit in memtable order: wait until this handle is the oldest
         // remaining immutable so L0 runs stay recency-sorted. The front
@@ -1472,22 +1505,12 @@ impl Engine {
         out_bytes_written: &mut u64,
     ) -> Result<()> {
         let snapshots: Vec<SeqNo> = self.snapshots.lock().keys().copied().collect();
-        let bits = self.bits_for_level(version, task.dst_level);
         let mem_nonempty = {
             let mem = self.mem.read();
             !mem.active.table.is_empty() || !mem.immutables.is_empty()
         };
-        let outcome = execute_plan(
-            &self.backend,
-            self.cache.as_ref(),
-            version,
-            task,
-            &self.opts,
-            bits,
-            &snapshots,
-            mem_nonempty,
-            &self.obs,
-        )?;
+        let writer = self.output_writer(version, task.dst_level);
+        let (bytes_read, outcome) = execute_plan(version, task, &snapshots, mem_nonempty, &writer)?;
         *out_bytes_written = outcome.bytes_written;
 
         // Install.
@@ -1503,12 +1526,12 @@ impl Engine {
                 remove: consumed.iter().copied().collect(),
                 ..Default::default()
             };
-            if !outcome.new_tables.is_empty() {
+            if !outcome.tables.is_empty() {
                 if task.dst_append {
                     edit.add_runs
-                        .push((task.dst_level, Run::new(outcome.new_tables.clone())));
+                        .push((task.dst_level, Run::new(outcome.tables.clone())));
                 } else {
-                    edit.merge_into_run = Some((task.dst_level, outcome.new_tables.clone()));
+                    edit.merge_into_run = Some((task.dst_level, outcome.tables.clone()));
                 }
             }
             // Mark inputs obsolete (deleted when the last reader drops).
@@ -1544,7 +1567,7 @@ impl Engine {
         self.stats.compactions.fetch_add(1, Ordering::Relaxed);
         self.stats
             .compact_bytes_read
-            .fetch_add(outcome.bytes_read, Ordering::Relaxed);
+            .fetch_add(bytes_read, Ordering::Relaxed);
         self.stats
             .compact_bytes_written
             .fetch_add(outcome.bytes_written, Ordering::Relaxed);

@@ -5,94 +5,65 @@ use std::sync::Arc;
 use lsm_sstable::{EntryIter, MergeIter, Table, TableIter, TableReadOpts, VecEntryIter};
 use lsm_types::{EntryKind, InternalEntry, InternalKey, Result, SeqNo, UserKey, Value};
 
-use crate::version::{Run, Version};
+use crate::version::Version;
 
-/// A table iterator that stops at an exclusive user-key bound.
-pub(crate) struct BoundedTableIter {
-    inner: TableIter,
-    end: Option<Vec<u8>>,
-    done: bool,
-}
-
-impl BoundedTableIter {
-    pub(crate) fn new(
-        table: &Arc<Table>,
-        start: &[u8],
-        end: Option<&[u8]>,
-        ropts: TableReadOpts,
-    ) -> Self {
-        BoundedTableIter {
-            inner: table.iter(Some(InternalKey::lookup(start, SeqNo::MAX)), ropts),
-            end: end.map(|e| e.to_vec()),
-            done: false,
-        }
-    }
-}
-
-impl EntryIter for BoundedTableIter {
-    fn next_entry(&mut self) -> Result<Option<InternalEntry>> {
-        if self.done {
-            return Ok(None);
-        }
-        match self.inner.next_entry()? {
-            Some(e) => {
-                if let Some(end) = &self.end {
-                    if e.user_key().as_bytes() >= end.as_slice() {
-                        self.done = true;
-                        return Ok(None);
-                    }
-                }
-                Ok(Some(e))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-/// Chains the overlapping tables of one run (tables are disjoint and
-/// ordered, so sequential chaining preserves key order).
-pub(crate) struct RunScanIter {
-    tables: Vec<Arc<Table>>,
-    current: Option<BoundedTableIter>,
-    next_idx: usize,
-    start: Vec<u8>,
+/// Chains disjoint, key-ordered tables — a run, or the part of one a
+/// compaction selected — into one source: from the first entry at or after
+/// user key `start` (`None` = each table's first entry) up to the exclusive
+/// user key `end`.
+pub(crate) struct RunIter {
+    tables: std::vec::IntoIter<Arc<Table>>,
+    current: Option<TableIter>,
+    start: Option<Vec<u8>>,
     end: Option<Vec<u8>>,
     ropts: TableReadOpts,
 }
 
-impl RunScanIter {
-    pub(crate) fn new(run: &Run, start: &[u8], end: Option<&[u8]>, ropts: TableReadOpts) -> Self {
-        RunScanIter {
-            tables: run.overlapping_tables(start, end),
+impl RunIter {
+    pub(crate) fn new(
+        tables: Vec<Arc<Table>>,
+        start: Option<&[u8]>,
+        end: Option<&[u8]>,
+        ropts: TableReadOpts,
+    ) -> Self {
+        RunIter {
+            tables: tables.into_iter(),
             current: None,
-            next_idx: 0,
-            start: start.to_vec(),
-            end: end.map(|e| e.to_vec()),
+            start: start.map(<[u8]>::to_vec),
+            end: end.map(<[u8]>::to_vec),
             ropts,
         }
     }
 }
 
-impl EntryIter for RunScanIter {
+impl EntryIter for RunIter {
     fn next_entry(&mut self) -> Result<Option<InternalEntry>> {
         loop {
             if let Some(cur) = &mut self.current {
-                if let Some(e) = cur.next_entry()? {
-                    return Ok(Some(e));
+                match cur.next_entry()? {
+                    Some(e)
+                        if self
+                            .end
+                            .as_deref()
+                            .is_some_and(|end| e.user_key().as_bytes() >= end) =>
+                    {
+                        // Tables are ordered: nothing after this is in range.
+                        self.current = None;
+                        self.tables = Vec::new().into_iter();
+                        return Ok(None);
+                    }
+                    Some(e) => return Ok(Some(e)),
+                    None => self.current = None,
                 }
-                self.current = None;
             }
-            if self.next_idx >= self.tables.len() {
+            let Some(table) = self.tables.next() else {
                 return Ok(None);
-            }
-            let table = &self.tables[self.next_idx];
-            self.next_idx += 1;
-            self.current = Some(BoundedTableIter::new(
-                table,
-                &self.start,
-                self.end.as_deref(),
-                self.ropts,
-            ));
+            };
+            let from = self
+                .start
+                .as_deref()
+                .map(|start| InternalKey::lookup(start, SeqNo::MAX));
+            self.current = Some(table.iter(from, self.ropts));
         }
     }
 }
@@ -112,7 +83,8 @@ pub(crate) fn build_scan_merge(
         sources.push(Box::new(VecEntryIter::new(entries)));
     }
     for run in version.runs_newest_first() {
-        sources.push(Box::new(RunScanIter::new(run, start, end, ropts)));
+        let tables = run.overlapping_tables(start, end);
+        sources.push(Box::new(RunIter::new(tables, Some(start), end, ropts)));
     }
     MergeIter::new(sources)
 }
@@ -180,7 +152,12 @@ impl VisibleIter {
             if e.is_tombstone() {
                 continue;
             }
-            return Ok(Some((e.key.user_key, e.value)));
+            // A row from a table is a pair of slices of its block: the
+            // caller gets copies, so rows it keeps never pin their blocks.
+            return Ok(Some((
+                UserKey::copy_from(e.user_key().as_bytes()),
+                Value::copy_from_slice(&e.value),
+            )));
         }
         Ok(None)
     }
@@ -189,6 +166,7 @@ impl VisibleIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::version::Run;
     use lsm_sstable::{TableBuilder, TableBuilderOptions};
     use lsm_storage::{Backend, MemBackend};
 
@@ -208,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_iter_stops_at_end() {
+    fn run_iter_stops_at_end() {
         let backend = Arc::new(MemBackend::new());
         let t = make_table(
             &backend,
@@ -216,7 +194,12 @@ mod tests {
                 .map(|i| put(&format!("k{i:02}"), "v", i + 1))
                 .collect(),
         );
-        let mut it = BoundedTableIter::new(&t, b"k05", Some(b"k10"), TableReadOpts::default());
+        let mut it = RunIter::new(
+            vec![t],
+            Some(b"k05"),
+            Some(b"k10"),
+            TableReadOpts::default(),
+        );
         let mut keys = Vec::new();
         while let Some(e) = it.next_entry().unwrap() {
             keys.push(String::from_utf8(e.user_key().as_bytes().to_vec()).unwrap());

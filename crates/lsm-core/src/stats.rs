@@ -23,8 +23,8 @@ pub struct DbStats {
     /// increment is one blocking wait, not one poll — the stress harness
     /// asserts this stays proportional to actual maintenance events).
     pub(crate) idle_waits: AtomicU64,
-    /// Entries dropped by compaction as garbage (superseded versions,
-    /// annihilated tombstones).
+    /// Entries dropped as garbage by a flush or a compaction (superseded
+    /// versions, annihilated tombstones).
     pub(crate) gc_dropped_entries: AtomicU64,
     /// Tombstones physically purged at the last level.
     pub(crate) tombstones_purged: AtomicU64,
@@ -66,7 +66,7 @@ pub struct StatsSnapshot {
     pub stall_nanos: u64,
     /// Blocking condvar waits performed by `wait_idle`.
     pub idle_waits: u64,
-    /// Entries garbage-collected during compaction.
+    /// Entries garbage-collected during flushes and compactions.
     pub gc_dropped_entries: u64,
     /// Tombstones physically removed at the last level.
     pub tombstones_purged: u64,

@@ -645,3 +645,65 @@ fn obsolete_files_are_reclaimed() {
         "compaction inputs must be deleted once unreferenced"
     );
 }
+
+/// `(user key, value)` of every entry the one flushed table holds, in table
+/// order (versions of a key newest first).
+fn flushed_entries(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let version = db.version();
+    let tables: Vec<_> = version.all_tables().collect();
+    assert_eq!(tables.len(), 1, "one flush, one table");
+    lsm_sstable::collect_all(tables[0].scan())
+        .unwrap()
+        .into_iter()
+        .map(|e| (e.user_key().as_bytes().to_vec(), e.value.to_vec()))
+        .collect()
+}
+
+#[test]
+fn flush_writes_only_the_newest_version_without_snapshots() {
+    let db = Db::builder().options(Options::default()).open().unwrap();
+    for v in ["v1", "v2", "v3"] {
+        db.put(b"hot", v.as_bytes()).unwrap();
+    }
+    db.put(b"cold", b"c1").unwrap();
+    // A tombstone is kept (a flush is never bottommost: older versions may
+    // sit in the tree below) but the put it covers is not.
+    db.put(b"gone", b"g1").unwrap();
+    db.delete(b"gone").unwrap();
+    db.flush().unwrap();
+
+    assert_eq!(
+        flushed_entries(&db),
+        vec![
+            (b"cold".to_vec(), b"c1".to_vec()),
+            (b"gone".to_vec(), Vec::new()),
+            (b"hot".to_vec(), b"v3".to_vec()),
+        ],
+        "versions nothing can read must not reach the table"
+    );
+    assert_eq!(db.get(b"hot").unwrap().as_deref(), Some(&b"v3"[..]));
+    assert_eq!(db.get(b"gone").unwrap(), None);
+    assert_eq!(db.metrics().db.gc_dropped_entries, 3);
+}
+
+#[test]
+fn flush_keeps_the_version_an_open_snapshot_reads() {
+    let db = Db::builder().options(Options::default()).open().unwrap();
+    db.put(b"hot", b"v1").unwrap();
+    let snapshot = db.snapshot();
+    db.put(b"hot", b"v2").unwrap();
+    db.put(b"hot", b"v3").unwrap();
+    db.flush().unwrap();
+
+    // v3 is the live version and v1 the snapshot's; v2 sits between the
+    // snapshot and v3 where no reader can land.
+    assert_eq!(
+        flushed_entries(&db),
+        vec![
+            (b"hot".to_vec(), b"v3".to_vec()),
+            (b"hot".to_vec(), b"v1".to_vec()),
+        ]
+    );
+    assert_eq!(snapshot.get(b"hot").unwrap().as_deref(), Some(&b"v1"[..]));
+    assert_eq!(db.get(b"hot").unwrap().as_deref(), Some(&b"v3"[..]));
+}

@@ -4,7 +4,7 @@ use lsm_types::encoding::{put_u32, Decoder};
 use lsm_types::{Error, Result};
 
 use crate::hash::{hash_pair, probe};
-use crate::PointFilter;
+use crate::{checked_body_len, PointFilter};
 
 /// The classic Bloom filter: `k = bits_per_key * ln 2` hash probes into one
 /// large bit array. Per-run Bloom filters are what let an LSM point lookup
@@ -72,10 +72,10 @@ impl BloomFilter {
         let mut dec = Decoder::new(data);
         let num_probes = dec.u32()?;
         let num_bits = dec.u64()?;
-        let words = num_bits.div_ceil(64) as usize;
         if num_probes == 0 || num_probes > 64 || num_bits == 0 {
             return Err(Error::Corruption("implausible bloom header".into()));
         }
+        let words = checked_body_len(Some(num_bits.div_ceil(64)), 8, &dec)?;
         let mut bits = Vec::with_capacity(words);
         for _ in 0..words {
             bits.push(dec.u64()?);
@@ -174,7 +174,7 @@ impl BlockedBloomFilter {
         if num_probes == 0 || num_probes > 64 || num_blocks == 0 {
             return Err(Error::Corruption("implausible blocked-bloom header".into()));
         }
-        let words_len = (num_blocks * WORDS_PER_BLOCK) as usize;
+        let words_len = checked_body_len(num_blocks.checked_mul(WORDS_PER_BLOCK), 8, &dec)?;
         let mut words = Vec::with_capacity(words_len);
         for _ in 0..words_len {
             words.push(dec.u64()?);
@@ -304,6 +304,45 @@ mod tests {
         put_u32(&mut buf, 0); // zero probes: implausible
         lsm_types::encoding::put_u64(&mut buf, 64);
         assert!(BloomFilter::from_bytes(&buf).is_err());
+    }
+
+    #[test]
+    fn from_bytes_checks_the_claimed_size_before_allocating() {
+        // A plausible header whose count no body backs up: each of these
+        // asked `Vec::with_capacity` for the claimed size (a capacity
+        // overflow panic or an abort) before a body byte was read.
+        let header = |probes: u32, count: u64| {
+            let mut buf = Vec::new();
+            put_u32(&mut buf, probes);
+            lsm_types::encoding::put_u64(&mut buf, count);
+            buf
+        };
+        for count in [u64::MAX, 1 << 62, 1 << 40, 65] {
+            let err = BloomFilter::from_bytes(&header(7, count)).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "bloom {count}: {err}");
+        }
+        // `num_blocks * WORDS_PER_BLOCK` must not wrap to something small.
+        for count in [u64::MAX, (1 << 61) + 1, 1 << 40, 1] {
+            let err = BlockedBloomFilter::from_bytes(&header(7, count)).unwrap_err();
+            assert!(
+                matches!(err, Error::Corruption(_)),
+                "blocked {count}: {err}"
+            );
+        }
+        // One flipped header bit in an otherwise valid filter.
+        let key: &[u8] = b"k";
+        for (mut bytes, blocked) in [
+            (BloomFilter::build(&[key], 10.0).to_bytes(), false),
+            (BlockedBloomFilter::build(&[key], 10.0).to_bytes(), true),
+        ] {
+            bytes[11] ^= 0x40; // top byte of the count
+            let result = if blocked {
+                BlockedBloomFilter::from_bytes(&bytes).map(|_| ())
+            } else {
+                BloomFilter::from_bytes(&bytes).map(|_| ())
+            };
+            assert!(matches!(result, Err(Error::Corruption(_))));
+        }
     }
 
     #[test]

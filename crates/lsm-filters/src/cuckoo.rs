@@ -10,7 +10,7 @@ use lsm_types::encoding::{put_u32, put_u64, Decoder};
 use lsm_types::{Error, Result};
 
 use crate::hash::hash64;
-use crate::PointFilter;
+use crate::{checked_body_len, PointFilter};
 
 const SLOTS_PER_BUCKET: usize = 4;
 const MAX_KICKS: usize = 500;
@@ -148,7 +148,7 @@ impl CuckooFilter {
         if num_buckets == 0 || !num_buckets.is_power_of_two() {
             return Err(Error::Corruption("implausible cuckoo header".into()));
         }
-        let n_slots = (num_buckets * SLOTS_PER_BUCKET as u64) as usize;
+        let n_slots = checked_body_len(num_buckets.checked_mul(SLOTS_PER_BUCKET as u64), 2, &dec)?;
         let mut slots = Vec::with_capacity(n_slots);
         for _ in 0..n_slots {
             let b = dec.bytes(2)?;
@@ -262,6 +262,29 @@ mod tests {
                 "alt(alt(b)) must return to b (needed for kicks)"
             );
         }
+    }
+
+    #[test]
+    fn from_bytes_checks_the_claimed_size_before_allocating() {
+        // Power-of-two bucket counts pass the header check; without a body
+        // to back them they must read as corruption, not reach
+        // `Vec::with_capacity` (capacity overflow or abort).
+        for buckets in [1u64 << 63, 1 << 62, 1 << 40, 1] {
+            let mut buf = Vec::new();
+            put_u64(&mut buf, buckets);
+            put_u32(&mut buf, 0);
+            buf.push(0);
+            let err = CuckooFilter::from_bytes(&buf).map(|_| ()).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{buckets}: {err}");
+        }
+        // One flipped header bit in an otherwise valid filter.
+        let key: &[u8] = b"k";
+        let mut bytes = CuckooFilter::build(&[key], 12.0).to_bytes();
+        bytes[7] ^= 0x40;
+        assert!(matches!(
+            CuckooFilter::from_bytes(&bytes).map(|_| ()),
+            Err(Error::Corruption(_))
+        ));
     }
 
     #[test]

@@ -45,7 +45,26 @@ pub use prefix_bloom::PrefixBloomFilter;
 pub use rosetta::RosettaFilter;
 pub use surf::SurfFilter;
 
-use lsm_types::Result;
+use lsm_types::encoding::Decoder;
+use lsm_types::{Error, Result};
+
+/// Checks an element count taken from a serialized filter's header against
+/// the body bytes actually left in `dec`, before anything is allocated for
+/// it: a flipped header bit must read as corruption, not as a request for
+/// exabytes. `None` is a count whose computation already overflowed.
+pub(crate) fn checked_body_len(
+    count: Option<u64>,
+    elem_bytes: usize,
+    dec: &Decoder<'_>,
+) -> Result<usize> {
+    count
+        .and_then(|n| usize::try_from(n).ok())
+        .filter(|n| {
+            n.checked_mul(elem_bytes)
+                .is_some_and(|bytes| bytes <= dec.remaining())
+        })
+        .ok_or_else(|| Error::Corruption("filter header claims a body larger than its data".into()))
+}
 
 /// A set-membership filter over point keys.
 pub trait PointFilter: Send + Sync {
@@ -130,11 +149,7 @@ impl PointFilterKind {
             1 => PointFilterKind::Bloom,
             2 => PointFilterKind::BlockedBloom,
             3 => PointFilterKind::Cuckoo,
-            _ => {
-                return Err(lsm_types::Error::Corruption(format!(
-                    "invalid filter kind {v}"
-                )))
-            }
+            _ => return Err(Error::Corruption(format!("invalid filter kind {v}"))),
         })
     }
 }

@@ -2,13 +2,22 @@
 
 use bytes::Bytes;
 use lsm_types::encoding::{put_u32, Decoder};
-use lsm_types::{checksum, Error, InternalEntry, InternalKey, Result};
+use lsm_types::{checksum, EntryRef, Error, InternalEntry, InternalKey, Result};
 
-/// Builds one data block: encoded entries followed by a CRC-32C trailer.
+/// Seals the block whose payload is `buf[start..]` by appending the
+/// payload's CRC-32C, computed in place. A block is its encoded entries
+/// followed by this trailer, whether it was built standalone
+/// ([`BlockBuilder`]) or inside a table's file buffer.
+pub(crate) fn seal_block(buf: &mut Vec<u8>, start: usize) {
+    let crc = checksum::crc32c(&buf[start..]);
+    put_u32(buf, crc);
+}
+
+/// Builds one standalone data block: encoded entries followed by a
+/// CRC-32C trailer.
 #[derive(Default)]
 pub struct BlockBuilder {
     buf: Vec<u8>,
-    entries: usize,
 }
 
 impl BlockBuilder {
@@ -20,31 +29,13 @@ impl BlockBuilder {
     /// Appends an entry (caller guarantees ascending internal-key order).
     pub fn add(&mut self, entry: &InternalEntry) {
         entry.encode_into(&mut self.buf);
-        self.entries += 1;
-    }
-
-    /// Current payload size in bytes (without the CRC trailer).
-    pub fn payload_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Number of entries added.
-    pub fn entry_count(&self) -> usize {
-        self.entries
-    }
-
-    /// Whether no entries were added.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
     }
 
     /// Seals the block: payload followed by its CRC. Resets the builder for
     /// the next block.
     pub fn finish(&mut self) -> Vec<u8> {
         let mut out = std::mem::take(&mut self.buf);
-        let crc = checksum::crc32c(&out);
-        put_u32(&mut out, crc);
-        self.entries = 0;
+        seal_block(&mut out, 0);
         out
     }
 }
@@ -66,7 +57,9 @@ pub fn verify_block(block: &[u8]) -> Result<&[u8]> {
     Ok(payload)
 }
 
-/// Iterates the entries of one verified data block.
+/// Iterates the entries of one verified data block. Entries share the
+/// block: each key and value is a [`Bytes::slice`] of it, so a caller that
+/// retains one past the block's use should copy it out.
 pub struct BlockIter {
     data: Bytes,
     /// Byte offset of the next entry within the payload.
@@ -77,12 +70,8 @@ pub struct BlockIter {
 impl BlockIter {
     /// Wraps a raw block (payload + CRC trailer), verifying the checksum.
     pub fn new(block: Bytes) -> Result<Self> {
-        let payload_len = verify_block(&block)?.len();
-        Ok(BlockIter {
-            data: block,
-            pos: 0,
-            payload_len,
-        })
+        verify_block(&block)?;
+        Self::new_trusted(block)
     }
 
     /// Wraps a block that was already verified when it entered the cache,
@@ -106,28 +95,25 @@ impl BlockIter {
     pub fn seek(&mut self, probe: &InternalKey) -> Result<()> {
         // Entries are variable-length; a block holds only a page's worth,
         // so a linear scan is the standard approach (LevelDB restarts would
-        // shave constants, not complexity).
-        loop {
-            let mark = self.pos;
-            match self.try_next()? {
-                Some(e) if e.key < *probe => continue,
-                Some(_) => {
-                    self.pos = mark;
-                    return Ok(());
-                }
-                None => return Ok(()),
+        // shave constants, not complexity). Skipped entries are compared
+        // where they lie and never materialised.
+        while self.pos < self.payload_len {
+            let mut dec = Decoder::new(&self.data[self.pos..self.payload_len]);
+            if EntryRef::decode_from(&mut dec)?.cmp_key(probe).is_ge() {
+                break;
             }
+            self.pos = self.payload_len - dec.remaining();
         }
+        Ok(())
     }
 
+    /// The next entry; its key and value are slices of the block.
     fn try_next(&mut self) -> Result<Option<InternalEntry>> {
         if self.pos >= self.payload_len {
             return Ok(None);
         }
-        let mut dec = Decoder::new(&self.data[self.pos..self.payload_len]);
-        let before = dec.remaining();
-        let entry = InternalEntry::decode_from(&mut dec)?;
-        self.pos += before - dec.remaining();
+        let (entry, next) = InternalEntry::decode_shared(&self.data, self.pos, self.payload_len)?;
+        self.pos = next;
         Ok(Some(entry))
     }
 }
@@ -175,6 +161,18 @@ mod tests {
             .collect::<Result<_>>()
             .unwrap();
         assert_eq!(got, es);
+    }
+
+    #[test]
+    fn entries_share_the_block() {
+        let block = build(&entries(5));
+        let base = block.as_ptr() as usize;
+        for e in BlockIter::new(block.clone()).unwrap() {
+            let e = e.unwrap();
+            for p in [e.user_key().as_bytes().as_ptr(), e.value.as_ptr()] {
+                assert!((base..base + block.len()).contains(&(p as usize)));
+            }
+        }
     }
 
     #[test]
@@ -233,7 +231,6 @@ mod tests {
         let mut b = BlockBuilder::new();
         b.add(&entries(1)[0]);
         let first = b.finish();
-        assert!(b.is_empty());
         b.add(&entries(2)[1]);
         let second = b.finish();
         assert_ne!(first, second);

@@ -1,11 +1,13 @@
 //! Writing tables: the flush and compaction output path.
 
+use std::ops::Range;
+
 use lsm_filters::{build_point_filter, PointFilterKind};
 use lsm_storage::{Backend, FileId};
-use lsm_types::encoding::{put_len_prefixed, put_varint, Decoder};
+use lsm_types::encoding::{put_len_prefixed, put_varint, varint_len, Decoder};
 use lsm_types::{EntryKind, Error, InternalEntry, InternalKey, KeyRange, Result, SeqNo, UserKey};
 
-use crate::block::BlockBuilder;
+use crate::block::seal_block;
 use crate::meta::{encode_footer, TableMeta};
 use crate::BLOCK_SIZE;
 
@@ -87,24 +89,37 @@ pub(crate) fn decode_index(data: &[u8]) -> Result<Vec<Fence>> {
 
 /// Builds one immutable table from entries supplied in ascending
 /// internal-key order.
+///
+/// Entries are encoded straight into the file image, and everything `add`
+/// needs to remember about earlier entries — the previous key for the
+/// order check, the distinct user keys for the filters — is kept as byte
+/// ranges of that image. Only what outlives the build is copied out: one
+/// fence key per block, the table's smallest and largest key, and range
+/// tombstones. An entry handed to `add` is never retained, so it may
+/// borrow from an input block that is about to be dropped.
 pub struct TableBuilder {
     opts: TableBuilderOptions,
+    /// The file image: sealed blocks, then the open block's entries.
     file: Vec<u8>,
-    block: BlockBuilder,
+    /// Where the open block starts in `file`.
+    block_start: usize,
     fences: Vec<Fence>,
+    /// First key of the open block (`None` while it is empty).
     pending_first: Option<InternalKey>,
-    last_key: Option<InternalKey>,
+    /// The previous entry's internal key, its user key as a range of `file`.
+    last_key: Option<(Range<usize>, SeqNo, EntryKind)>,
     // statistics
     entry_count: u64,
     tombstone_count: u64,
     range_tombstones: Vec<(UserKey, UserKey, SeqNo)>,
     min_key: Option<UserKey>,
-    max_key: Option<UserKey>,
     min_seqno: SeqNo,
     max_seqno: SeqNo,
     min_ts: u64,
     max_ts: u64,
-    filter_keys: Vec<Vec<u8>>,
+    /// Each distinct user key once (consecutive versions share a filter
+    /// entry), as a range of `file`.
+    filter_keys: Vec<Range<usize>>,
     /// `filter_marks[b]` = number of filter keys accumulated once block `b`
     /// was sealed, so `finish` can slice `filter_keys` per partition. A key
     /// whose versions span blocks is attributed to the block where it first
@@ -115,10 +130,17 @@ pub struct TableBuilder {
 impl TableBuilder {
     /// Creates a builder with the given options.
     pub fn new(opts: TableBuilderOptions) -> Self {
+        Self::with_capacity(opts, 64 * 1024)
+    }
+
+    /// [`Self::new`] with room for a file of `file_bytes` from the start, so
+    /// a caller that knows how much it is about to write spares the image
+    /// its regrowth copies.
+    pub fn with_capacity(opts: TableBuilderOptions, file_bytes: usize) -> Self {
         TableBuilder {
             opts,
-            file: Vec::with_capacity(64 * 1024),
-            block: BlockBuilder::new(),
+            file: Vec::with_capacity(file_bytes),
+            block_start: 0,
             fences: Vec::new(),
             pending_first: None,
             last_key: None,
@@ -126,7 +148,6 @@ impl TableBuilder {
             tombstone_count: 0,
             range_tombstones: Vec::new(),
             min_key: None,
-            max_key: None,
             min_seqno: SeqNo::MAX,
             max_seqno: 0,
             min_ts: u64::MAX,
@@ -139,97 +160,96 @@ impl TableBuilder {
     /// Appends one entry. Entries must arrive in strictly ascending
     /// internal-key order.
     pub fn add(&mut self, entry: &InternalEntry) -> Result<()> {
-        if let Some(last) = &self.last_key {
-            if *last >= entry.key {
+        let user_key = entry.user_key().as_bytes();
+        let mut new_user_key = true;
+        if let Some((range, seqno, kind)) = &self.last_key {
+            let last_user_key = &self.file[range.clone()];
+            // `InternalKey`'s order: user key, then newest first.
+            let by_user_key = last_user_key.cmp(user_key);
+            let order = by_user_key
+                .then_with(|| entry.seqno().cmp(seqno))
+                .then_with(|| (entry.kind() as u8).cmp(&(*kind as u8)));
+            if order.is_ge() {
                 return Err(Error::InvalidArgument(format!(
                     "entries out of order: {:?} then {:?}",
-                    last, entry.key
+                    InternalKey::new(last_user_key, *seqno, *kind),
+                    entry.key
                 )));
             }
+            new_user_key = by_user_key.is_ne();
         }
-        self.last_key = Some(entry.key.clone());
 
         if self.pending_first.is_none() {
-            self.pending_first = Some(entry.key.clone());
+            self.pending_first = Some(InternalKey::new(user_key, entry.seqno(), entry.kind()));
         }
-        self.block.add(entry);
+        let key_start = self.file.len() + varint_len(user_key.len() as u64);
+        entry.encode_into(&mut self.file);
+        let key_range = key_start..key_start + user_key.len();
         self.entry_count += 1;
         match entry.kind() {
             EntryKind::Delete | EntryKind::SingleDelete => self.tombstone_count += 1,
             EntryKind::RangeDelete => {
-                let end = entry
-                    .range_delete_end()
-                    .ok_or_else(|| Error::Corruption("range tombstone without end key".into()))?;
-                self.range_tombstones
-                    .push((entry.user_key().clone(), end, entry.seqno()));
+                self.range_tombstones.push((
+                    UserKey::copy_from(user_key),
+                    UserKey::copy_from(&entry.value),
+                    entry.seqno(),
+                ));
             }
             _ => {}
         }
         if self.min_key.is_none() {
-            self.min_key = Some(entry.user_key().clone());
+            self.min_key = Some(UserKey::copy_from(user_key));
         }
-        self.max_key = Some(entry.user_key().clone());
         self.min_seqno = self.min_seqno.min(entry.seqno());
         self.max_seqno = self.max_seqno.max(entry.seqno());
         self.min_ts = self.min_ts.min(entry.ts);
         self.max_ts = self.max_ts.max(entry.ts);
-        // Consecutive versions of one user key need a single filter entry.
-        if self
-            .filter_keys
-            .last()
-            .is_none_or(|k| k.as_slice() != entry.user_key().as_bytes())
-        {
-            self.filter_keys.push(entry.user_key().as_bytes().to_vec());
+        if new_user_key {
+            self.filter_keys.push(key_range.clone());
         }
+        self.last_key = Some((key_range, entry.seqno(), entry.kind()));
 
-        if self.block.payload_len() >= self.opts.block_size {
+        if self.file.len() - self.block_start >= self.opts.block_size {
             self.seal_block();
         }
         Ok(())
     }
 
-    /// Number of entries added so far.
-    pub fn entry_count(&self) -> u64 {
-        self.entry_count
-    }
-
     /// Bytes of data blocks written so far (a proxy for output file size).
     pub fn data_bytes(&self) -> u64 {
-        self.file.len() as u64 + self.block.payload_len() as u64
+        self.file.len() as u64
     }
 
-    /// Whether nothing was added.
-    pub fn is_empty(&self) -> bool {
-        self.entry_count == 0
+    /// The user key of the entry added last, read back from the file image.
+    pub fn last_user_key(&self) -> Option<&[u8]> {
+        let (range, _, _) = self.last_key.as_ref()?;
+        self.file.get(range.clone())
     }
 
     fn seal_block(&mut self) {
-        if self.block.is_empty() {
-            return;
-        }
         // `pending_first` is set by the first `add` into the block, so a
         // non-empty block always carries one; an absent key would produce a
         // fence that cannot route reads, so skip sealing rather than panic.
         let Some(first_key) = self.pending_first.take() else {
             return;
         };
-        let offset = self.file.len() as u64;
-        let block = self.block.finish();
+        seal_block(&mut self.file, self.block_start);
         self.fences.push(Fence {
             first_key,
-            offset,
-            len: block.len() as u64,
+            offset: self.block_start as u64,
+            len: (self.file.len() - self.block_start) as u64,
         });
         self.filter_marks.push(self.filter_keys.len());
-        self.file.extend_from_slice(&block);
+        self.block_start = self.file.len();
     }
 
     /// Seals the table and persists it to `backend`. Returns the file id
     /// and the decoded metadata. Fails on an empty table.
     pub fn finish(mut self, backend: &dyn Backend) -> Result<(FileId, TableMeta)> {
-        let (Some(min_key), Some(max_key)) = (self.min_key.take(), self.max_key.take()) else {
+        let (Some(min_key), Some(max_key)) = (self.min_key.take(), self.last_user_key()) else {
             return Err(Error::InvalidArgument("cannot write an empty table".into()));
         };
+        let max_key = UserKey::copy_from(max_key);
         self.seal_block();
         let data_bytes = self.file.len() as u64;
 
@@ -267,7 +287,7 @@ impl TableBuilder {
             let key_end = self.filter_marks[last_block];
             let key_refs: Vec<&[u8]> = self.filter_keys[key_start..key_end]
                 .iter()
-                .map(|k| k.as_slice())
+                .map(|range| &self.file[range.clone()])
                 .collect();
             let part_bytes =
                 build_point_filter(self.opts.filter_kind, &key_refs, self.opts.bits_per_key)

@@ -129,7 +129,7 @@ impl Table {
         file: FileId,
         cache: Option<Arc<BlockCache>>,
     ) -> Result<Arc<Table>> {
-        Self::open_with(backend, file, cache, false)
+        Self::open_pinned(backend, file, cache, false)
     }
 
     /// [`Self::open`] for hot tables: when `pin_aux` is set (and a cache is
@@ -142,17 +142,13 @@ impl Table {
         cache: Option<Arc<BlockCache>>,
         pin_aux: bool,
     ) -> Result<Arc<Table>> {
-        Self::open_with(backend, file, cache, pin_aux)
-    }
-
-    fn open_with(
-        backend: Arc<dyn Backend>,
-        file: FileId,
-        cache: Option<Arc<BlockCache>>,
-        pin_aux: bool,
-    ) -> Result<Arc<Table>> {
         let len = backend.len(file)?;
-        let footer = backend.read(file, len - FOOTER_LEN as u64, FOOTER_LEN)?;
+        let footer_offset = len.checked_sub(FOOTER_LEN as u64).ok_or_else(|| {
+            Error::Corruption(format!(
+                "table file {file} is shorter than a footer: {len} bytes"
+            ))
+        })?;
+        let footer = backend.read(file, footer_offset, FOOTER_LEN)?;
         let (meta_offset, meta_len) = decode_footer(&footer)?;
         let meta_bytes = backend.read(file, meta_offset, meta_len as usize)?;
         let meta = TableMeta::decode(&meta_bytes)?;
@@ -360,28 +356,21 @@ impl Table {
     /// CRC-verified at fill time).
     fn read_block_fence(&self, fence: &Fence, ctx: &mut ReadCtx<'_>) -> Result<(Bytes, bool)> {
         ctx.note(|p| p.blocks_fetched += 1);
-        if let Some(cache) = &self.cache {
-            let key = BlockKey {
-                file: self.file,
-                offset: fence.offset,
-            };
-            if let Some(block) = cache.get(&key) {
-                ctx.note(|p| p.cache_hits += 1);
-                return Ok((block, true));
-            }
-            ctx.note(|p| p.cache_misses += 1);
-            let block = self
-                .backend
-                .read(self.file, fence.offset, fence.len as usize)?;
-            if ctx.opts.fill_cache {
-                cache.insert(key, block.clone());
-            }
-            return Ok((block, false));
+        let key = BlockKey {
+            file: self.file,
+            offset: fence.offset,
+        };
+        if let Some(block) = self.cache.as_ref().and_then(|cache| cache.get(&key)) {
+            ctx.note(|p| p.cache_hits += 1);
+            return Ok((block, true));
         }
         ctx.note(|p| p.cache_misses += 1);
         let block = self
             .backend
             .read(self.file, fence.offset, fence.len as usize)?;
+        if let (Some(cache), true) = (&self.cache, ctx.opts.fill_cache) {
+            cache.insert(key, block.clone());
+        }
         Ok((block, false))
     }
 
@@ -685,6 +674,18 @@ mod tests {
         let table =
             Table::open_pinned(backend.clone() as Arc<dyn Backend>, file, cache, pin).unwrap();
         (backend, table)
+    }
+
+    #[test]
+    fn file_shorter_than_a_footer_is_corruption() {
+        // `len - FOOTER_LEN` used to be computed unchecked: a panic in
+        // debug builds, a wrapped offset in release.
+        let backend = Arc::new(MemBackend::new());
+        for len in [0, 1, FOOTER_LEN - 1] {
+            let file = backend.write_blob(&vec![0xAB; len]).unwrap();
+            let err = Table::open(backend.clone() as Arc<dyn Backend>, file, None).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{len} bytes: {err}");
+        }
     }
 
     #[test]

@@ -270,14 +270,17 @@ pub fn shard_dir(root: impl Into<PathBuf>, index: usize) -> PathBuf {
 
 /// The same interface over real files in a directory.
 ///
-/// Each `FileId` maps to `<dir>/<id>.lsm`. Appendable files keep an open
-/// handle; immutable blobs are written once and reopened per read (reads are
-/// positional via seek, so concurrent readers each open their own handle —
-/// here we serialize with a mutex per file for simplicity, which is adequate
-/// because experiments default to [`MemBackend`]).
+/// Each `FileId` maps to `<dir>/<id>.lsm`. Open handles are cached in two
+/// maps, each behind one mutex held across the I/O it serves: `handles`
+/// for reads (positional via seek, so readers serialize — adequate because
+/// experiments default to [`MemBackend`]) and `append_handles` for
+/// appends, syncs and truncations. The split keeps the write path off the
+/// read path's lock: a WAL append never queues behind a compaction's block
+/// read, nor the read behind the append.
 pub struct FsBackend {
     dir: PathBuf,
     handles: Mutex<HashMap<FileId, File>>,
+    append_handles: Mutex<HashMap<FileId, File>>,
     next_id: AtomicU64,
     stats: IoStats,
 }
@@ -301,6 +304,7 @@ impl FsBackend {
         Ok(FsBackend {
             dir,
             handles: Mutex::new(HashMap::new()),
+            append_handles: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(max_id + 1),
             stats: IoStats::new(),
         })
@@ -321,8 +325,15 @@ impl FsBackend {
             })
     }
 
-    fn with_handle<T>(&self, id: FileId, f: impl FnOnce(&mut File) -> Result<T>) -> Result<T> {
-        let mut handles = self.handles.lock();
+    /// Runs `f` on file `id`'s cached handle in `map` (opened on first
+    /// use), holding `map`'s lock throughout.
+    fn with_handle<T>(
+        &self,
+        map: &Mutex<HashMap<FileId, File>>,
+        id: FileId,
+        f: impl FnOnce(&mut File) -> Result<T>,
+    ) -> Result<T> {
+        let mut handles = map.lock();
         let file = match handles.entry(id) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => v.insert(self.open_handle(id)?),
@@ -349,13 +360,13 @@ impl Backend for FsBackend {
         File::create(self.path(id))?;
         let file = self.open_handle(id)?;
         self.stats.charge_file_created();
-        self.handles.lock().insert(id, file);
+        self.append_handles.lock().insert(id, file);
         Ok(id)
     }
 
     fn append(&self, id: FileId, data: &[u8]) -> Result<u64> {
         self.stats.charge_write(data.len());
-        self.with_handle(id, |file| {
+        self.with_handle(&self.append_handles, id, |file| {
             let offset = file.seek(SeekFrom::End(0))?;
             file.write_all(data)?;
             Ok(offset)
@@ -363,14 +374,14 @@ impl Backend for FsBackend {
     }
 
     fn sync(&self, id: FileId) -> Result<()> {
-        self.with_handle(id, |file| {
+        self.with_handle(&self.append_handles, id, |file| {
             file.sync_data()?;
             Ok(())
         })
     }
 
     fn truncate(&self, id: FileId, len: u64) -> Result<()> {
-        self.with_handle(id, |file| {
+        self.with_handle(&self.append_handles, id, |file| {
             let current = file.metadata()?.len();
             if len > current {
                 return Err(Error::InvalidArgument(format!(
@@ -384,7 +395,7 @@ impl Backend for FsBackend {
 
     fn read(&self, id: FileId, offset: u64, len: usize) -> Result<Bytes> {
         self.stats.charge_read(offset, len);
-        self.with_handle(id, |file| {
+        self.with_handle(&self.handles, id, |file| {
             file.seek(SeekFrom::Start(offset))?;
             let mut buf = vec![0u8; len];
             file.read_exact(&mut buf).map_err(|e| {
@@ -399,11 +410,12 @@ impl Backend for FsBackend {
     }
 
     fn len(&self, id: FileId) -> Result<u64> {
-        self.with_handle(id, |file| Ok(file.metadata()?.len()))
+        self.with_handle(&self.handles, id, |file| Ok(file.metadata()?.len()))
     }
 
     fn delete(&self, id: FileId) -> Result<()> {
         self.handles.lock().remove(&id);
+        self.append_handles.lock().remove(&id);
         std::fs::remove_file(self.path(id)).map_err(|e| match e.kind() {
             std::io::ErrorKind::NotFound => Error::NotFound(format!("file {id}")),
             _ => Error::Io(e),

@@ -10,7 +10,7 @@
 //! * [`KeyRange`] — an inclusive key interval with overlap arithmetic, used
 //!   by compaction planning and fence pointers.
 //! * [`encoding`] — varint and fixed-width little-endian codecs.
-//! * [`checksum`] — a CRC-32C implementation for block integrity.
+//! * [`checksum`] — CRC-32C for block integrity.
 //! * [`Error`] / [`Result`] — the error type used across the workspace.
 
 pub mod checksum;
@@ -20,7 +20,7 @@ mod error;
 mod key;
 mod range;
 
-pub use entry::{EntryKind, InternalEntry};
+pub use entry::{EntryKind, EntryRef, InternalEntry};
 pub use error::{Error, Result};
 pub use key::{InternalKey, SeqNo, UserKey, Value, SEQNO_MAX};
 pub use range::KeyRange;
