@@ -48,12 +48,14 @@ pub(crate) struct GcRules<'a> {
     pub may_drop_range_tombstone: &'a (dyn Fn(&InternalEntry) -> bool + Sync),
 }
 
-/// The garbage collector, as a stream: a merged [`EntryIter`] in, the
-/// entries that must survive out, in the same order. It looks one entry
-/// ahead and holds back only what a later entry of the same user key can
-/// still cancel — a `SingleDelete` waiting for its `Put`, and at the
-/// bottommost level tombstones that may turn out to end the key's history —
-/// so a key with a single version passes straight through.
+/// The garbage collector, as a stream: merged entries in (pulled from
+/// `input`, which answers `None` at the end — a closure, so a source need
+/// not be a `Send` [`EntryIter`]), the entries that must survive out, in
+/// the same order. It looks one entry ahead and holds back only what a
+/// later entry of the same user key can still cancel — a `SingleDelete`
+/// waiting for its `Put`, and at the bottommost level tombstones that may
+/// turn out to end the key's history — so a key with a single version
+/// passes straight through.
 pub(crate) struct GcIter<'a, I> {
     input: I,
     rules: GcRules<'a>,
@@ -74,7 +76,7 @@ pub(crate) struct GcIter<'a, I> {
     pub(crate) purged: u64,
 }
 
-impl<'a, I: EntryIter> GcIter<'a, I> {
+impl<'a, I: FnMut() -> Result<Option<InternalEntry>>> GcIter<'a, I> {
     pub(crate) fn new(input: I, rules: GcRules<'a>) -> Self {
         GcIter {
             input,
@@ -183,10 +185,9 @@ impl<'a, I: EntryIter> GcIter<'a, I> {
         self.purged += trailing;
         self.last_kept = None;
     }
-}
 
-impl<I: EntryIter> EntryIter for GcIter<'_, I> {
-    fn next_entry(&mut self) -> Result<Option<InternalEntry>> {
+    /// The next survivor, or `None` at the end.
+    pub(crate) fn next_entry(&mut self) -> Result<Option<InternalEntry>> {
         loop {
             if let Some(e) = self.ready.pop_front() {
                 return Ok(Some(e));
@@ -194,7 +195,7 @@ impl<I: EntryIter> EntryIter for GcIter<'_, I> {
             if self.exhausted {
                 return Ok(None);
             }
-            match self.input.next_entry()? {
+            match (self.input)()? {
                 Some(e) => self.accept(e),
                 None => {
                     self.exhausted = true;
@@ -237,14 +238,15 @@ pub(crate) struct WriteOutcome {
 }
 
 impl OutputWriter<'_> {
-    /// The one table-writing path, driven by flush and compaction alike:
-    /// streams `input` through GC under `rules` into tables. Entries are
-    /// only borrowed on their way from `input` to the table's file image,
-    /// which `expected_bytes` (an upper estimate of the data about to be
-    /// written, all tables together) sizes once instead of by doubling.
+    /// The one table-writing path, driven by flush, compaction and bulk
+    /// load alike: streams `input` through GC under `rules` into tables
+    /// that split at `target_bytes`. Entries are only borrowed on their way
+    /// from `input` to the table's file image, which `expected_bytes` (an
+    /// upper estimate of the data about to be written, all tables together)
+    /// sizes once instead of by doubling.
     pub(crate) fn write(
         &self,
-        input: impl EntryIter,
+        input: impl FnMut() -> Result<Option<InternalEntry>>,
         rules: GcRules<'_>,
         expected_bytes: u64,
     ) -> Result<WriteOutcome> {
@@ -421,8 +423,9 @@ pub(crate) fn execute_plan(
             })
     };
 
+    let mut merged = MergeIter::new(sources);
     let written = writer.write(
-        MergeIter::new(sources),
+        || merged.next_entry(),
         GcRules {
             snapshots,
             bottommost,
@@ -437,7 +440,6 @@ pub(crate) fn execute_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsm_sstable::VecEntryIter;
     use proptest::prelude::*;
 
     #[test]
@@ -575,8 +577,9 @@ mod tests {
             .iter()
             .filter_map(|e| Some((e.user_key().clone(), e.range_delete_end()?, e.seqno())))
             .collect();
+        let mut merged = merged.into_iter();
         let mut gc = GcIter::new(
-            VecEntryIter::new(merged),
+            || Ok(merged.next()),
             GcRules {
                 snapshots,
                 bottommost,
@@ -664,17 +667,14 @@ mod tests {
     fn lone_versions_pass_through_unbuffered() {
         // One version per key, nothing to cancel: every entry comes out of
         // the very `next_entry` call that pulled it in.
-        struct Counting(VecEntryIter, std::sync::Arc<std::sync::atomic::AtomicUsize>);
-        impl EntryIter for Counting {
-            fn next_entry(&mut self) -> Result<Option<InternalEntry>> {
-                self.1.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.0.next_entry()
-            }
-        }
-        let pulls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let pulls = std::cell::Cell::new(0usize);
         let entries: Vec<InternalEntry> = (0..10).map(|i| put(&format!("k{i}"), i + 1)).collect();
+        let mut input = entries.clone().into_iter();
         let mut gc = GcIter::new(
-            Counting(VecEntryIter::new(entries.clone()), pulls.clone()),
+            || {
+                pulls.set(pulls.get() + 1);
+                Ok(input.next())
+            },
             GcRules {
                 snapshots: &[],
                 bottommost: false,
@@ -684,7 +684,7 @@ mod tests {
         );
         for (i, expected) in entries.iter().enumerate() {
             assert_eq!(gc.next_entry().unwrap().as_ref(), Some(expected));
-            assert_eq!(pulls.load(std::sync::atomic::Ordering::Relaxed), i + 1);
+            assert_eq!(pulls.get(), i + 1);
         }
         assert!(gc.next_entry().unwrap().is_none());
         assert_eq!((gc.dropped, gc.purged), (0, 0));

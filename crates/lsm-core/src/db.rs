@@ -8,13 +8,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lsm_obs::{recovery_phase, EventKind, HistKind, ObsHandle, Observability, OpKind, ReadProbe};
-use lsm_sstable::{ReadCtx, Table, TableBuilder, TableReadOpts};
+use lsm_sstable::{ReadCtx, TableReadOpts};
 use lsm_storage::{
     Backend, BlockCache, CacheConfig, FileId, FsBackend, MemBackend, ObservedBackend,
 };
 use lsm_sync::{ranks, OrderedMutex};
-use lsm_types::{Error, InternalEntry, Result, SeqNo, UserKey, Value};
+use lsm_types::{EntryKind, Error, InternalEntry, KeyRange, Result, SeqNo, UserKey, Value};
 
+use crate::compact::{GcRules, OutputWriter};
 use crate::engine::{BatchOp, Engine, EpochFilter, MANIFEST_META};
 use crate::metrics::MetricsSnapshot;
 use crate::options::Options;
@@ -168,29 +169,30 @@ impl WriteBatch {
         WriteBatch::default()
     }
 
+    fn push(&mut self, kind: EntryKind, key: &[u8], value: Value) -> &mut Self {
+        let key = key.into();
+        self.ops.push(BatchOp { kind, key, value });
+        self
+    }
+
     /// Queues an insert/update.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.ops.push(BatchOp::Put(key.to_vec(), value.to_vec()));
-        self
+        self.push(EntryKind::Put, key, Value::copy_from_slice(value))
     }
 
     /// Queues a point delete.
     pub fn delete(&mut self, key: &[u8]) -> &mut Self {
-        self.ops.push(BatchOp::Delete(key.to_vec()));
-        self
+        self.push(EntryKind::Delete, key, Value::new())
     }
 
     /// Queues a single-delete.
     pub fn single_delete(&mut self, key: &[u8]) -> &mut Self {
-        self.ops.push(BatchOp::SingleDelete(key.to_vec()));
-        self
+        self.push(EntryKind::SingleDelete, key, Value::new())
     }
 
     /// Queues a range delete of `[start, end)`.
     pub fn delete_range(&mut self, start: &[u8], end: &[u8]) -> &mut Self {
-        self.ops
-            .push(BatchOp::DeleteRange(start.to_vec(), end.to_vec()));
-        self
+        self.push(EntryKind::RangeDelete, start, Value::copy_from_slice(end))
     }
 
     /// Number of queued operations.
@@ -201,6 +203,19 @@ impl WriteBatch {
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Turns away a batch no part of which may be applied: every range
+    /// delete needs `start < end`.
+    pub(crate) fn validate(&self) -> Result<()> {
+        let inverted =
+            |op: &BatchOp| op.kind == EntryKind::RangeDelete && op.key.as_bytes() >= &op.value[..];
+        if self.ops.iter().any(inverted) {
+            return Err(Error::InvalidArgument(
+                "delete_range requires start < end".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -440,16 +455,9 @@ impl Db {
 
     /// [`Db::put`] with per-write durability options.
     pub fn put_opt(&self, key: &[u8], value: &[u8], w: &WriteOptions) -> Result<()> {
-        self.inner.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .user_bytes
-            .fetch_add((key.len() + value.len()) as u64, Ordering::Relaxed);
-        self.inner
-            .instrument_fg(HistKind::Put, OpKind::Put, key, |_| {
-                self.inner
-                    .commit_write(vec![BatchOp::Put(key.to_vec(), value.to_vec())], w, None)
-            })
+        let mut batch = WriteBatch::new();
+        batch.put(key, value);
+        self.write_opt(batch, w)
     }
 
     /// Deletes `key` (writes a point tombstone).
@@ -459,53 +467,25 @@ impl Db {
 
     /// [`Db::delete`] with per-write durability options.
     pub fn delete_opt(&self, key: &[u8], w: &WriteOptions) -> Result<()> {
-        self.inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .user_bytes
-            .fetch_add(key.len() as u64, Ordering::Relaxed);
-        self.inner
-            .instrument_fg(HistKind::Delete, OpKind::Delete, key, |_| {
-                self.inner
-                    .commit_write(vec![BatchOp::Delete(key.to_vec())], w, None)
-            })
+        let mut batch = WriteBatch::new();
+        batch.delete(key);
+        self.write_opt(batch, w)
     }
 
     /// Deletes `key`, promising it was written at most once since the last
     /// delete (RocksDB `SingleDelete`: the tombstone annihilates with the
     /// matching put during compaction instead of surviving to the bottom).
     pub fn single_delete(&self, key: &[u8]) -> Result<()> {
-        let _t = self.inner.obs.timer(HistKind::Delete);
-        self.inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .user_bytes
-            .fetch_add(key.len() as u64, Ordering::Relaxed);
-        self.inner.commit_write(
-            vec![BatchOp::SingleDelete(key.to_vec())],
-            &WriteOptions::default(),
-            None,
-        )
+        let mut batch = WriteBatch::new();
+        batch.single_delete(key);
+        self.write(batch)
     }
 
     /// Deletes every key in `[start, end)` with one range tombstone.
     pub fn delete_range(&self, start: &[u8], end: &[u8]) -> Result<()> {
-        let _t = self.inner.obs.timer(HistKind::Delete);
-        if start >= end {
-            return Err(Error::InvalidArgument(
-                "delete_range requires start < end".into(),
-            ));
-        }
-        self.inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .user_bytes
-            .fetch_add((start.len() + end.len()) as u64, Ordering::Relaxed);
-        self.inner.commit_write(
-            vec![BatchOp::DeleteRange(start.to_vec(), end.to_vec())],
-            &WriteOptions::default(),
-            None,
-        )
+        let mut batch = WriteBatch::new();
+        batch.delete_range(start, end);
+        self.write(batch)
     }
 
     /// Applies a [`WriteBatch`] atomically.
@@ -517,58 +497,9 @@ impl Db {
     /// atomic: it occupies one framed WAL record inside the group's
     /// append, so recovery replays it all-or-nothing.
     pub fn write_opt(&self, batch: WriteBatch, w: &WriteOptions) -> Result<()> {
-        self.write_tagged(batch, w, None)
-    }
-
-    /// [`Db::write_opt`] plus an optional cross-shard commit epoch: the
-    /// router tags each shard's sub-batch so recovery can discard the whole
-    /// multi-shard batch unless its epoch committed on the coordinator.
-    pub(crate) fn write_tagged(
-        &self,
-        batch: WriteBatch,
-        w: &WriteOptions,
-        epoch: Option<u64>,
-    ) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let _t = self.inner.obs.timer(HistKind::Put);
-        for op in &batch.ops {
-            if let BatchOp::DeleteRange(start, end) = op {
-                if start >= end {
-                    return Err(Error::InvalidArgument(
-                        "delete_range requires start < end".into(),
-                    ));
-                }
-            }
-        }
-        // account stats per op
-        for op in &batch.ops {
-            match op {
-                BatchOp::Put(k, v) => {
-                    self.inner.stats.puts.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .stats
-                        .user_bytes
-                        .fetch_add((k.len() + v.len()) as u64, Ordering::Relaxed);
-                }
-                BatchOp::Delete(k) | BatchOp::SingleDelete(k) => {
-                    self.inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .stats
-                        .user_bytes
-                        .fetch_add(k.len() as u64, Ordering::Relaxed);
-                }
-                BatchOp::DeleteRange(s, e) => {
-                    self.inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .stats
-                        .user_bytes
-                        .fetch_add((s.len() + e.len()) as u64, Ordering::Relaxed);
-                }
-            }
-        }
-        self.inner.commit_write(batch.ops, w, epoch)
+        fg_write(&self.inner, batch, |ops| {
+            self.inner.commit_write(ops, w, None)
+        })
     }
 
     /// Atomic read-modify-write (the FASTER-style operation of tutorial
@@ -581,39 +512,27 @@ impl Db {
         key: &[u8],
         f: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>,
     ) -> Result<()> {
-        let _t = self.inner.obs.timer(HistKind::Put);
         self.inner.check_bg_error()?;
         self.inner.maybe_stall()?;
         {
-            // Holding the writer ticket across the WAL append is the
-            // read-modify-write contract (see apply_locked).
+            // Holding the writer ticket from the read to the publish is the
+            // read-modify-write contract: no commit lands in between.
             let _writer = self.inner.write_mx.lock();
             let snapshot = self.inner.seqno.load(Ordering::Acquire);
             let current = self.inner.get(key, snapshot, &mut ReadCtx::default())?;
+            let mut batch = WriteBatch::new();
             match f(current.as_deref()) {
-                Some(new) => {
-                    self.inner.stats.puts.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .stats
-                        .user_bytes
-                        .fetch_add((key.len() + new.len()) as u64, Ordering::Relaxed);
-                    // lsm-lint: allow(io-under-lock)
-                    self.inner.apply_locked(|base, ts| {
-                        vec![InternalEntry::put(key, new, base + 1, ts)]
-                    })?;
-                }
-                None if current.is_some() => {
-                    self.inner.stats.deletes.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .stats
-                        .user_bytes
-                        .fetch_add(key.len() as u64, Ordering::Relaxed);
-                    // lsm-lint: allow(io-under-lock)
-                    self.inner
-                        .apply_locked(|base, ts| vec![InternalEntry::delete(key, base + 1, ts)])?;
-                }
-                None => {}
-            }
+                Some(new) => batch.push(EntryKind::Put, key, new.into()),
+                None if current.is_some() => batch.delete(key),
+                None => &mut batch, // nothing to delete: an empty batch commits nothing
+            };
+            // The result commits as a one-request group under the ticket
+            // already held, which is exactly what a queue leader holds.
+            fg_write(&self.inner, batch, |ops| {
+                let req = self.inner.request(ops, &WriteOptions::default(), None);
+                // lsm-lint: allow(io-under-lock)
+                self.inner.commit_group(&[req])
+            })?;
         }
         self.inner.maybe_freeze()
     }
@@ -622,7 +541,8 @@ impl Db {
     /// deepest level, bypassing the memtable, the WAL, and every
     /// compaction — the fast-loading path the tutorial credits WiscKey
     /// with (§2.2.2) and the reason LSM bulk ingestion can be ~100× faster
-    /// than put-at-a-time.
+    /// than put-at-a-time. The tables come from the writer flush and
+    /// compaction use, so they split, pin and are counted the same way.
     ///
     /// Requirements (checked): keys strictly ascending; the memtables are
     /// empty; the loaded key range overlaps no existing table.
@@ -642,81 +562,71 @@ impl Db {
         let base = self.inner.seqno.load(Ordering::Acquire);
         let ts = self.inner.clock.load(Ordering::Acquire);
         let version = self.inner.current.lock().clone();
-
-        let mut builder: Option<TableBuilder> = None;
-        let mut tables = Vec::new();
-        let mut count: u64 = 0;
-        let mut last_key: Option<Vec<u8>> = None;
-        let mut first_key: Option<Vec<u8>> = None;
-        let mut bytes: u64 = 0;
-        let bits = self.inner.opts.filter_bits_per_key;
-        for (key, value) in pairs {
-            if last_key.as_deref().is_some_and(|l| l >= key.as_slice()) {
-                return Err(Error::InvalidArgument(
-                    "bulk_load input must be strictly ascending".into(),
-                ));
-            }
-            first_key.get_or_insert_with(|| key.clone());
-            last_key = Some(key.clone());
-            count += 1;
-            bytes += (key.len() + value.len()) as u64;
-            let b = builder
-                .get_or_insert_with(|| TableBuilder::new(self.inner.opts.table_options(bits)));
-            b.add(&InternalEntry::put(key, value, base + count, ts))?;
-            if b.data_bytes() >= self.inner.opts.table_target_bytes {
-                if let Some(b) = builder.take() {
-                    let (file, _) = b.finish(self.inner.backend.as_ref())?;
-                    // Bulk load owns the writer ticket end-to-end by design.
-                    // lsm-lint: allow(io-under-lock)
-                    tables.push(Table::open(
-                        self.inner.backend.clone(),
-                        file,
-                        self.inner.cache.clone(),
-                    )?);
-                }
-            }
-        }
-        if let Some(b) = builder.take() {
-            let (file, _) = b.finish(self.inner.backend.as_ref())?;
-            // Bulk load owns the writer ticket end-to-end by design.
-            // lsm-lint: allow(io-under-lock)
-            tables.push(Table::open(
-                self.inner.backend.clone(),
-                file,
-                self.inner.cache.clone(),
-            )?);
-        }
-        if tables.is_empty() {
-            return Ok(());
-        }
-        let (Some(first), Some(last)) = (first_key, last_key) else {
-            // Tables exist only if at least one pair was added, which also
-            // set both keys; an empty input already returned above.
-            return Ok(());
-        };
-        let loaded = lsm_types::KeyRange::new(first, last);
-        if version
-            .all_tables()
-            .any(|t| t.meta().key_range.overlaps(&loaded))
-        {
-            for t in &tables {
-                t.mark_obsolete();
-            }
-            return Err(Error::InvalidArgument(
-                "bulk_load key range overlaps existing data".into(),
-            ));
-        }
-
-        // Install as a new run at the deepest occupied level.
+        // Lands as a new run at the deepest occupied level.
         let last_level = version
             .levels
             .iter()
             .rposition(|l| !l.is_empty())
             .unwrap_or(0);
+
+        let mut pairs = pairs.into_iter();
+        let (mut count, mut bytes) = (0u64, 0u64);
+        let mut last_key: Option<UserKey> = None;
+        let mut ascending = true;
+        let writer = OutputWriter {
+            warm_cache: false,
+            ..self.inner.output_writer(&version, last_level)
+        };
+        // Bulk load owns the writer ticket end-to-end by design.
+        // lsm-lint: allow(io-under-lock)
+        let written = writer.write(
+            || {
+                let Some((key, value)) = pairs.next() else {
+                    return Ok(None);
+                };
+                if last_key.as_ref().is_some_and(|l| l.as_bytes() >= &key[..]) {
+                    // The stream ends here; what it wrote is withdrawn below.
+                    ascending = false;
+                    return Ok(None);
+                }
+                count += 1;
+                bytes += (key.len() + value.len()) as u64;
+                let key = UserKey::from(key);
+                last_key = Some(key.clone());
+                Ok(Some(InternalEntry::put(key, value, base + count, ts)))
+            },
+            // Unique keys, one version each: nothing for GC to drop.
+            GcRules {
+                snapshots: &[],
+                bottommost: false,
+                range_tombstones: Vec::new(),
+                may_drop_range_tombstone: &|_| false,
+            },
+            u64::MAX,
+        )?;
+        let loaded = KeyRange::union_all(written.tables.iter().map(|t| &t.meta().key_range));
+        let overlaps = loaded.is_some_and(|loaded| {
+            version
+                .all_tables()
+                .any(|t| t.meta().key_range.overlaps(&loaded))
+        });
+        if !ascending || overlaps {
+            for t in &written.tables {
+                t.mark_obsolete();
+            }
+            return Err(Error::InvalidArgument(if ascending {
+                "bulk_load key range overlaps existing data".into()
+            } else {
+                "bulk_load input must be strictly ascending".into()
+            }));
+        }
+        if written.tables.is_empty() {
+            return Ok(());
+        }
         {
             let mut current = self.inner.current.lock();
             let edit = VersionEdit {
-                add_runs: vec![(last_level, Run::new(tables))],
+                add_runs: vec![(last_level, Run::new(written.tables))],
                 ..Default::default()
             };
             *current = Arc::new(edit.apply(current.as_ref()));
@@ -729,7 +639,7 @@ impl Db {
         self.inner
             .stats
             .flush_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
+            .fetch_add(written.bytes_written, Ordering::Relaxed);
         self.inner.clock.fetch_add(count, Ordering::AcqRel);
         self.inner.seqno.store(base + count, Ordering::Release);
         // Bulk load owns the writer ticket end-to-end by design.
@@ -769,8 +679,16 @@ impl Db {
 
     /// Pins a consistent read view.
     pub fn snapshot(&self) -> Snapshot {
-        let seqno = self.inner.seqno.load(Ordering::Acquire);
-        *self.inner.snapshots.lock().entry(seqno).or_insert(0) += 1;
+        // The seqno is read while the registry is locked: a flush or
+        // compaction that listed the registry before this lock was taken
+        // only has inputs published before its listing, so whatever it
+        // drops is older than a version this snapshot sees.
+        let seqno = {
+            let mut snapshots = self.inner.snapshots.lock();
+            let seqno = self.inner.seqno.load(Ordering::Acquire);
+            *snapshots.entry(seqno).or_insert(0) += 1;
+            seqno
+        };
         Snapshot {
             inner: Arc::clone(&self.inner),
             seqno,
@@ -929,6 +847,39 @@ pub(crate) fn engine_metrics(inner: &Engine) -> MetricsSnapshot {
         read_amp_estimate: lsm_obs::estimated_read_amp(&levels) as f64,
         levels,
     }
+}
+
+/// The foreground write behind every public mutation, the twin of
+/// [`fg_get`]: the one place that turns away an empty or invalid batch,
+/// counts `puts`/`deletes`/`user_bytes`, and samples the commit through
+/// [`Engine::instrument_fg`] (histogram and op class from the first op).
+/// `commit` is the queue ([`Engine::commit_write`]; the sharded router
+/// passes its cross-shard epoch there) for every caller but [`Db::update`],
+/// which commits under the ticket it already holds.
+pub(crate) fn fg_write(
+    engine: &Engine,
+    batch: WriteBatch,
+    commit: impl FnOnce(Vec<BatchOp>) -> Result<()>,
+) -> Result<()> {
+    let Some(first) = batch.ops.first() else {
+        return Ok(());
+    };
+    batch.validate()?;
+    let (hist, kind) = match first.kind {
+        EntryKind::Put => (HistKind::Put, OpKind::Put),
+        _ => (HistKind::Delete, OpKind::Delete),
+    };
+    let key = first.key.clone();
+    let (mut puts, mut bytes) = (0u64, 0u64);
+    for op in &batch.ops {
+        puts += u64::from(op.kind == EntryKind::Put);
+        bytes += op.user_bytes() as u64;
+    }
+    let deletes = batch.len() as u64 - puts;
+    engine.stats.puts.fetch_add(puts, Ordering::Relaxed);
+    engine.stats.deletes.fetch_add(deletes, Ordering::Relaxed);
+    engine.stats.user_bytes.fetch_add(bytes, Ordering::Relaxed);
+    engine.instrument_fg(hist, kind, key.as_bytes(), |_| commit(batch.ops))
 }
 
 /// The foreground point read behind every public `get`: sampled by

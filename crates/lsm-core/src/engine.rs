@@ -16,11 +16,11 @@ use lsm_obs::{
     key_hash, recovery_phase, slow_op, stall_reason, EventKind, HistKind, ObsHandle, OpKind,
     ReadProbe,
 };
-use lsm_sstable::{ReadCtx, Table, VecEntryIter};
+use lsm_sstable::{ReadCtx, Table};
 use lsm_storage::{wal, Backend, BlockCache, FileId};
 use lsm_sync::{ranks, Condvar, OrderedMutex, OrderedRwLock};
 use lsm_types::encoding::{put_varint, Decoder};
-use lsm_types::{EntryKind, Error, InternalEntry, Result, SeqNo, UserKey, Value};
+use lsm_types::{EntryKind, Error, InternalEntry, InternalKey, Result, SeqNo, UserKey, Value};
 
 use crate::compact::{execute_plan, GcRules, OutputWriter};
 use crate::db::{DbScanIter, ReadOptions, WriteOptions};
@@ -40,6 +40,18 @@ pub(crate) struct MemHandle {
 }
 
 impl MemHandle {
+    /// The only place an entry enters a memtable, for a live commit and for
+    /// WAL replay alike: a range tombstone is also noted in the side list
+    /// reads consult for coverage.
+    pub(crate) fn apply(&self, entry: InternalEntry) {
+        if let Some(end) = entry.range_delete_end() {
+            self.rts
+                .write()
+                .push((entry.user_key().clone(), end, entry.seqno()));
+        }
+        self.table.insert(entry);
+    }
+
     pub(crate) fn max_rt_covering(&self, key: &[u8], snapshot: SeqNo) -> SeqNo {
         self.rts
             .read()
@@ -155,26 +167,40 @@ pub(crate) struct CommitRequest {
     pub(crate) done: AtomicBool,
     /// The group's failure, when it failed (every member sees the same
     /// error — nothing from a failed group reaches the memtable).
-    pub(crate) error: OnceLock<String>,
+    pub(crate) error: OnceLock<Error>,
 }
 
+/// A copy of `e` for another member of the same failed commit group: the
+/// same variant and message, so `is_transient()`/`is_corruption()` answer
+/// alike for every writer (`io::Error` is not `Clone`; its kind and text
+/// are kept).
+fn same_error(e: &Error) -> Error {
+    match e {
+        Error::Io(io) => Error::Io(std::io::Error::new(io.kind(), io.to_string())),
+        Error::Corruption(msg) => Error::Corruption(msg.clone()),
+        Error::NotFound(msg) => Error::NotFound(msg.clone()),
+        Error::InvalidArgument(msg) => Error::InvalidArgument(msg.clone()),
+        Error::ShuttingDown => Error::ShuttingDown,
+        Error::Transient(msg) => Error::Transient(msg.clone()),
+    }
+}
+
+/// One mutation as the API hands it to the commit path: an entry that has
+/// no seqno yet (`value` is a put's value, a range delete's end key, empty
+/// otherwise). The bytes were copied once, at the API boundary, into the
+/// shared buffers the memtable keeps (an adopted `Vec` key would cost its
+/// comparisons a second pointer chase); the commit clones the handles.
 #[derive(Clone, Debug)]
-pub(crate) enum BatchOp {
-    Put(Vec<u8>, Vec<u8>),
-    Delete(Vec<u8>),
-    SingleDelete(Vec<u8>),
-    DeleteRange(Vec<u8>, Vec<u8>),
+pub(crate) struct BatchOp {
+    pub(crate) kind: EntryKind,
+    pub(crate) key: UserKey,
+    pub(crate) value: Value,
 }
 
 impl BatchOp {
-    /// Approximate encoded size, for the group-commit byte cap (payload
-    /// bytes plus a small per-entry framing allowance).
-    pub(crate) fn encoded_hint(&self) -> usize {
-        match self {
-            BatchOp::Put(k, v) => k.len() + v.len() + 16,
-            BatchOp::Delete(k) | BatchOp::SingleDelete(k) => k.len() + 16,
-            BatchOp::DeleteRange(s, e) => s.len() + e.len() + 16,
-        }
+    /// Key plus value (or range end) bytes the caller handed in.
+    pub(crate) fn user_bytes(&self) -> usize {
+        self.key.len() + self.value.len()
     }
 }
 
@@ -196,8 +222,8 @@ pub(crate) struct Engine {
     pub(crate) snapshots: OrderedMutex<BTreeMap<SeqNo, usize>>,
     pub(crate) sched: OrderedMutex<Scheduler>,
     /// Serializes group-commit leaders (and `update`/`bulk_load`, which
-    /// bypass the queue); groups publish their sequence numbers atomically
-    /// under it.
+    /// hold it themselves instead of queueing); groups publish their
+    /// sequence numbers atomically under it.
     pub(crate) write_mx: OrderedMutex<()>,
     /// Pending group-commit requests, oldest first. Writers enqueue here
     /// and the front writer becomes the leader: it takes `write_mx`, drains
@@ -361,6 +387,7 @@ impl Engine {
         let mut summary = RecoverySummary::default();
         let mut max_seqno = manifest.next_seqno;
         let mut max_ts = manifest.next_ts;
+        let active = Arc::clone(&inner.mem.read().active);
         for &segment in &manifest.wal_segments {
             let report =
                 match wal::replay(backend.as_ref(), segment, wal::RecoveryMode::TruncateTail) {
@@ -390,7 +417,7 @@ impl Engine {
                     let entry = InternalEntry::decode_from(&mut dec)?;
                     max_seqno = max_seqno.max(entry.seqno());
                     max_ts = max_ts.max(entry.ts + 1);
-                    inner.apply_to_active(entry)?;
+                    active.apply(entry);
                 }
             }
         }
@@ -415,60 +442,36 @@ impl Engine {
         // leaves a manifest whose WAL references still hold the data.
         // Surviving epoch-tagged entries are re-logged untagged: their
         // epoch committed, so they are ordinary durable writes from here on.
-        if inner.opts.wal {
-            let mem = inner.mem.read();
-            if let Some(wal_id) = mem.active.wal {
-                let entries = mem.active.table.sorted_entries();
-                inner.obs.emit(
-                    EventKind::RecoveryPhase,
-                    None,
-                    recovery_phase::RELOG,
-                    entries.len() as u64,
-                );
-                if !entries.is_empty() {
-                    let mut payload = Vec::new();
-                    for e in &entries {
-                        e.encode_into(&mut payload);
-                    }
-                    // Recovery is single-threaded; holding `mem` across the
-                    // re-log keeps the replayed table and its WAL in step.
-                    // lsm-lint: allow(io-under-lock)
-                    let writer = wal::WalWriter::open(inner.backend.as_ref(), wal_id);
-                    // lsm-lint: allow(io-under-lock)
-                    writer.append(&payload)?;
-                    if inner.opts.wal_sync {
-                        // lsm-lint: allow(io-under-lock)
-                        writer.sync()?;
-                    }
+        if let Some(wal_id) = active.wal {
+            let entries = active.table.sorted_entries();
+            inner.obs.emit(
+                EventKind::RecoveryPhase,
+                None,
+                recovery_phase::RELOG,
+                entries.len() as u64,
+            );
+            if !entries.is_empty() {
+                let mut payload = Vec::new();
+                for e in &entries {
+                    e.encode_into(&mut payload);
+                }
+                let writer = wal::WalWriter::open(inner.backend.as_ref(), wal_id);
+                writer.append(&payload)?;
+                if inner.opts.wal_sync {
+                    writer.sync()?;
                 }
             }
-            drop(mem);
-            inner.save_manifest()?;
+        }
+        inner.save_manifest()?;
+        if active.wal.is_some() {
             for &segment in &manifest.wal_segments {
                 match inner.backend.delete(segment) {
                     Ok(()) | Err(Error::NotFound(_)) => {}
                     Err(e) => return Err(e),
                 }
             }
-        } else {
-            inner.save_manifest()?;
         }
         Ok(inner)
-    }
-
-    pub(crate) fn apply_to_active(&self, entry: InternalEntry) -> Result<()> {
-        let mem = self.mem.read();
-        if entry.kind() == EntryKind::RangeDelete {
-            let end = entry
-                .range_delete_end()
-                .ok_or_else(|| Error::Corruption("range tombstone without end key".into()))?;
-            mem.active
-                .rts
-                .write()
-                .push((entry.user_key().clone(), end, entry.seqno()));
-        }
-        mem.active.table.insert(entry);
-        Ok(())
     }
 
     pub(crate) fn check_bg_error(&self) -> Result<()> {
@@ -541,14 +544,7 @@ impl Engine {
         }
         self.maybe_stall()?;
 
-        let req = Arc::new(CommitRequest {
-            ops,
-            wal: self.opts.wal && !w.no_wal,
-            sync: w.sync.unwrap_or(self.opts.wal_sync),
-            epoch,
-            done: AtomicBool::new(false),
-            error: OnceLock::new(),
-        });
+        let req = self.request(ops, w, epoch);
         // Queue-wait is per-request bookkeeping on a sub-microsecond path:
         // decide sampling once at enqueue so unsampled requests skip both
         // clock reads, not just the histogram write — and read the obs
@@ -581,13 +577,10 @@ impl Engine {
                 debug_assert!(group.iter().any(|r| Arc::ptr_eq(r, &req)));
                 // lsm-lint: allow(io-under-lock)
                 let result = self.commit_group(&group);
-                if let Err(e) = &result {
-                    let msg = e.to_string();
-                    for r in &group {
-                        let _ = r.error.set(msg.clone());
-                    }
-                }
                 for r in &group {
+                    if let Err(e) = &result {
+                        let _ = r.error.set(same_error(e));
+                    }
                     r.done.store(true, Ordering::Release);
                 }
                 drop(writer);
@@ -595,15 +588,7 @@ impl Engine {
                     let _q = self.commit_mx.lock();
                     self.commit_cv.notify_all();
                 }
-                if let Some((t, weight)) = enqueued {
-                    self.obs.record_weighted(
-                        HistKind::GroupWait,
-                        self.obs.now_nanos().saturating_sub(t),
-                        weight,
-                    );
-                }
-                result?;
-                return self.maybe_freeze();
+                break; // acknowledged below like every member of the group
             }
             let mut q = self.commit_mx.lock();
             if req.done.load(Ordering::Acquire) {
@@ -621,10 +606,27 @@ impl Engine {
                 weight,
             );
         }
-        if let Some(msg) = req.error.get() {
-            return Err(Error::Corruption(format!("group commit failed: {msg}")));
+        if let Some(e) = req.error.get() {
+            return Err(same_error(e));
         }
         self.maybe_freeze()
+    }
+
+    /// One writer's request: its ops plus the durability `w` asks for.
+    pub(crate) fn request(
+        &self,
+        ops: Vec<BatchOp>,
+        w: &WriteOptions,
+        epoch: Option<u64>,
+    ) -> Arc<CommitRequest> {
+        Arc::new(CommitRequest {
+            ops,
+            wal: self.opts.wal && !w.no_wal,
+            sync: w.sync.unwrap_or(self.opts.wal_sync),
+            epoch,
+            done: AtomicBool::new(false),
+            error: OnceLock::new(),
+        })
     }
 
     /// Pops the next commit group off the queue: a non-empty prefix bounded
@@ -637,7 +639,9 @@ impl Engine {
         let mut bytes = 0usize;
         while let Some(front) = q.front() {
             let req_ops = front.ops.len();
-            let req_bytes: usize = front.ops.iter().map(BatchOp::encoded_hint).sum();
+            // Approximate encoded size: payload bytes plus a small per-entry
+            // framing allowance.
+            let req_bytes: usize = front.ops.iter().map(|op| op.user_bytes() + 16).sum();
             if !group.is_empty()
                 && (ops + req_ops > self.opts.max_group_ops
                     || bytes + req_bytes > self.opts.max_group_bytes)
@@ -715,22 +719,12 @@ impl Engine {
         for req in group {
             let start_idx = entries.len();
             for op in &req.ops {
-                let seqno = base + 1 + i;
-                let ts = ts0 + i;
-                i += 1;
-                // Copied once, from the request's slices into the buffers
-                // the memtable keeps (key comparisons then chase a single
-                // pointer; an adopted `Vec` would add a second).
-                entries.push(match op {
-                    BatchOp::Put(k, v) => {
-                        InternalEntry::put(&k[..], Value::copy_from_slice(v), seqno, ts)
-                    }
-                    BatchOp::Delete(k) => InternalEntry::delete(&k[..], seqno, ts),
-                    BatchOp::SingleDelete(k) => InternalEntry::single_delete(&k[..], seqno, ts),
-                    BatchOp::DeleteRange(s, e) => {
-                        InternalEntry::range_delete(&s[..], &e[..], seqno, ts)
-                    }
+                entries.push(InternalEntry {
+                    key: InternalKey::new(op.key.clone(), base + 1 + i, op.kind),
+                    value: op.value.clone(),
+                    ts: ts0 + i,
                 });
+                i += 1;
             }
             if req.wal && mem.active.wal.is_some() {
                 let mut payload = Vec::new();
@@ -770,16 +764,7 @@ impl Engine {
         }
         for entry in entries {
             debug_assert!(entry.seqno() > base && entry.seqno() <= base + n);
-            if entry.kind() == EntryKind::RangeDelete {
-                let end = entry
-                    .range_delete_end()
-                    .ok_or_else(|| Error::Corruption("range tombstone without end key".into()))?;
-                mem.active
-                    .rts
-                    .write()
-                    .push((entry.user_key().clone(), end, entry.seqno()));
-            }
-            mem.active.table.insert(entry);
+            mem.active.apply(entry);
         }
         self.clock.fetch_add(n, Ordering::AcqRel);
         // Publish: the group becomes visible as a unit.
@@ -791,62 +776,6 @@ impl Engine {
         // closes the span with the same clock read.
         if let Some((_, weight)) = started {
             self.obs.record_weighted(HistKind::GroupSize, n, weight);
-        }
-        Ok(())
-    }
-
-    /// Applies entries while the caller holds `write_mx`.
-    pub(crate) fn apply_locked(
-        &self,
-        make: impl FnOnce(SeqNo, u64) -> Vec<InternalEntry>,
-    ) -> Result<()> {
-        {
-            let mem = self.mem.read();
-            let base = self.seqno.load(Ordering::Acquire);
-            let ts = self.clock.load(Ordering::Acquire);
-            let entries = make(base, ts);
-            let n = entries.len() as u64;
-            if n == 0 {
-                return Ok(());
-            }
-            if self.opts.wal {
-                if let Some(wal_id) = mem.active.wal {
-                    let mut payload = Vec::new();
-                    for entry in &entries {
-                        entry.encode_into(&mut payload);
-                    }
-                    // The WAL append must happen under `mem` so the segment
-                    // cannot be frozen/deleted between append and insert.
-                    // lsm-lint: allow(io-under-lock)
-                    let writer = wal::WalWriter::open(self.backend.as_ref(), wal_id);
-                    // lsm-lint: allow(io-under-lock)
-                    writer.append(&payload)?;
-                    self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
-                    if self.opts.wal_sync {
-                        // Acknowledged == durable: the write errors (and is
-                        // not applied to the memtable) if the sync fails.
-                        // lsm-lint: allow(io-under-lock)
-                        writer.sync()?;
-                        self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            for entry in entries {
-                debug_assert!(entry.seqno() > base && entry.seqno() <= base + n);
-                if entry.kind() == EntryKind::RangeDelete {
-                    let end = entry.range_delete_end().ok_or_else(|| {
-                        Error::Corruption("range tombstone without end key".into())
-                    })?;
-                    mem.active
-                        .rts
-                        .write()
-                        .push((entry.user_key().clone(), end, entry.seqno()));
-                }
-                mem.active.table.insert(entry);
-            }
-            self.clock.fetch_add(n, Ordering::AcqRel);
-            // Publish: the batch becomes visible as a unit.
-            self.seqno.store(base + n, Ordering::Release);
         }
         Ok(())
     }
@@ -1253,8 +1182,9 @@ impl Engine {
         alloc.get(level).copied().unwrap_or(0.0)
     }
 
-    /// The writer of a compaction's tables landing at `level`.
-    fn output_writer(&self, version: &Version, level: usize) -> OutputWriter<'_> {
+    /// The writer of tables landing at `level`: a compaction's as is, a
+    /// flush's and a bulk load's with the fields they override.
+    pub(crate) fn output_writer(&self, version: &Version, level: usize) -> OutputWriter<'_> {
         OutputWriter {
             backend: &self.backend,
             cache: self.cache.as_ref(),
@@ -1321,7 +1251,7 @@ impl Engine {
         // dropped by the first compaction; tombstones all survive. The
         // snapshot list is read after the memtable froze, so every seqno in
         // it is final and a later snapshot sees only its newest versions.
-        let entries = handle.table.sorted_entries();
+        let mut entries = handle.table.sorted_entries().into_iter();
         let snapshots: Vec<SeqNo> = self.snapshots.lock().keys().copied().collect();
         let version = self.current.lock().clone();
         let writer = OutputWriter {
@@ -1330,7 +1260,7 @@ impl Engine {
             ..self.output_writer(&version, 0)
         };
         let written = writer.write(
-            VecEntryIter::new(entries),
+            || Ok(entries.next()),
             GcRules {
                 snapshots: &snapshots,
                 bottommost: false,
@@ -1650,5 +1580,65 @@ impl Engine {
             }
         }
         Ok(removed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    // Test code: panicking on unexpected results is the assertion style.
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use lsm_storage::{FaultBackend, MemBackend};
+
+    use super::*;
+    use crate::Db;
+
+    /// A failed commit group tells every member what the leader was told:
+    /// a flaky WAL append is `Transient` to the followers too, never
+    /// `Corruption`, and nothing from the group becomes readable.
+    #[test]
+    fn followers_of_a_failed_group_get_the_leaders_error_class() {
+        const WRITERS: usize = 4;
+        let fault = Arc::new(FaultBackend::new(Arc::new(MemBackend::new())));
+        let opts = Options {
+            wal: true,
+            background_threads: 0,
+            ..Options::small_for_benchmarks()
+        };
+        let db = Db::builder()
+            .backend(Arc::clone(&fault) as Arc<dyn Backend>)
+            .options(opts)
+            .open()
+            .unwrap();
+        let (db, engine) = (&db, &db.inner);
+
+        // With the writer ticket taken nobody can lead: every writer
+        // queues up, and the one group they form meets the armed fault.
+        let ticket = engine.write_mx.lock();
+        let armed_at = fault.write_ops() + 1;
+        let results: Vec<Result<()>> = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|i| s.spawn(move || db.put(format!("k{i}").as_bytes(), b"v")))
+                .collect();
+            while engine.commit_mx.lock().len() < WRITERS {
+                std::thread::yield_now();
+            }
+            fault.fail_writes_transiently_at(&[armed_at]);
+            drop(ticket);
+            writers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+
+        assert_eq!(fault.write_ops(), armed_at, "one group, one append attempt");
+        for result in results {
+            let err = result.expect_err("the whole group failed");
+            assert!(err.is_transient(), "{err}");
+            assert!(!err.is_corruption(), "{err}");
+        }
+        for i in 0..WRITERS {
+            assert_eq!(db.get(format!("k{i}").as_bytes()).unwrap(), None);
+        }
+        // The fault was transient: the next write goes through.
+        db.put(b"k0", b"v").unwrap();
+        assert_eq!(db.get(b"k0").unwrap().as_deref(), Some(&b"v"[..]));
     }
 }

@@ -32,10 +32,10 @@ use lsm_obs::Observability;
 use lsm_storage::{shard_dir, Backend, BlockCache, CacheConfig, FsBackend, MemBackend};
 use lsm_sync::{ranks, OrderedMutex};
 use lsm_types::encoding::{put_len_prefixed, put_varint, Decoder};
-use lsm_types::{Error, Result, SeqNo, Value};
+use lsm_types::{EntryKind, Error, Result, SeqNo, Value};
 
-use crate::db::{Db, DbScanIter, ReadOptions, ReadView, WriteBatch, WriteOptions};
-use crate::engine::{BatchOp, Engine, EpochFilter};
+use crate::db::{fg_write, Db, DbScanIter, ReadOptions, ReadView, WriteBatch, WriteOptions};
+use crate::engine::{Engine, EpochFilter};
 use crate::metrics::MetricsSnapshot;
 use crate::options::Options;
 
@@ -580,28 +580,14 @@ impl ShardedDb {
     /// sub-batches then commit independently and a crash can keep some
     /// shards' portion and lose others'.
     pub fn write_opt(&self, batch: WriteBatch, w: &WriteOptions) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
         // Validate up front: nothing may reach any shard if one op is bad,
         // or a multi-shard batch could commit a prefix before the error.
-        for op in &batch.ops {
-            if let BatchOp::DeleteRange(start, end) = op {
-                if start >= end {
-                    return Err(Error::InvalidArgument(
-                        "delete_range requires start < end".into(),
-                    ));
-                }
-            }
-        }
-        let mut parts = self.split_batch(batch);
-        if parts.len() == 1 {
-            let (i, part) = parts.remove(0);
-            return self.shards[i].write_opt(part, w);
-        }
-        if w.no_wal || !self.shards[0].options().wal {
-            // No WAL record will exist to tag; the batch has no crash
-            // durability at all, so per-shard commits lose nothing.
+        batch.validate()?;
+        let parts = self.split_batch(batch);
+        if parts.len() <= 1 || w.no_wal || !self.shards[0].options().wal {
+            // One shard commits exactly like `Db::write_opt`. Without a WAL
+            // no record will exist to tag: the batch has no crash durability
+            // at all, so per-shard commits lose nothing.
             for (i, part) in parts {
                 self.shards[i].write_opt(part, w)?;
             }
@@ -616,29 +602,27 @@ impl ShardedDb {
         let n = self.shards.len();
         let mut per: Vec<WriteBatch> = vec![WriteBatch::new(); n];
         for op in batch.ops {
-            match &op {
-                BatchOp::Put(k, _) | BatchOp::Delete(k) | BatchOp::SingleDelete(k) => {
-                    per[self.partitioning.shard_of(k, n)].ops.push(op);
+            if op.kind != EntryKind::RangeDelete {
+                per[self.partitioning.shard_of(op.key.as_bytes(), n)]
+                    .ops
+                    .push(op);
+                continue;
+            }
+            let targets = match &self.partitioning {
+                // Hash scatters the range's keys everywhere, so every
+                // shard gets the (unclipped) tombstone — harmless, as a
+                // shard can only hold its own keys.
+                Partitioning::Hash => &mut per[..],
+                Partitioning::Range { split_points } => {
+                    let lo = self.partitioning.shard_of(op.key.as_bytes(), n);
+                    // The shard owning the last key strictly below the
+                    // range's end (which is exclusive).
+                    let hi = split_points.partition_point(|p| p[..] < op.value[..]);
+                    &mut per[lo..=hi]
                 }
-                BatchOp::DeleteRange(start, end) => match &self.partitioning {
-                    // Hash scatters the range's keys everywhere, so every
-                    // shard gets the (unclipped) tombstone — harmless, as a
-                    // shard can only hold its own keys.
-                    Partitioning::Hash => {
-                        for p in per.iter_mut() {
-                            p.ops.push(op.clone());
-                        }
-                    }
-                    Partitioning::Range { split_points } => {
-                        let lo = self.partitioning.shard_of(start, n);
-                        // The shard owning the last key strictly below
-                        // `end` (the range is end-exclusive).
-                        let hi = split_points.partition_point(|p| p.as_slice() < end.as_slice());
-                        for p in &mut per[lo..=hi] {
-                            p.ops.push(op.clone());
-                        }
-                    }
-                },
+            };
+            for p in targets {
+                p.ops.push(op.clone());
             }
         }
         per.into_iter()
@@ -665,10 +649,12 @@ impl ShardedDb {
             no_wal: false,
         };
         for (pos, (i, part)) in parts.into_iter().enumerate() {
+            let shard = &self.shards[i].inner;
             // The epoch protocol serializes multi-shard batches by design;
             // each sub-commit does WAL I/O inside the epoch_mx window.
             // lsm-lint: allow(io-under-lock)
-            if let Err(e) = self.shards[i].write_tagged(part, &w, Some(epoch)) {
+            let committed = fg_write(shard, part, |ops| shard.commit_write(ops, &w, Some(epoch)));
+            if let Err(e) = committed {
                 // Shards before `pos` already applied their (never to be
                 // committed) sub-batches: poison them so no later write can
                 // trigger a freeze that would make the orphaned entries

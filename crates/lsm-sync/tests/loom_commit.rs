@@ -1,6 +1,6 @@
 //! Loom model of the leader/follower group-commit pipeline.
 //!
-//! This mirrors `lsm_core::Db::commit_write` / `drain_group` /
+//! This mirrors `lsm_core`'s `Engine::commit_write` / `drain_group` /
 //! `commit_group` line-for-line at the synchronization level — same locks
 //! at the same ranks (`db.write_mx` below `db.commit_mx`), same
 //! enqueue/at-front/leader/park structure, same flag and notify order —
@@ -43,7 +43,8 @@ struct Req {
     seqno_hi: AtomicU64,
 }
 
-/// The shared pipeline state (models the `Db` fields the write path uses).
+/// The shared pipeline state (models the `Engine` fields the write path
+/// uses).
 struct Pipeline {
     commit_mx: OrderedMutex<VecDeque<Arc<Req>>>,
     commit_cv: Condvar,
@@ -77,7 +78,7 @@ impl Pipeline {
     }
 }
 
-/// Mirrors `DbInner::drain_group`: pop a non-empty queue prefix bounded by
+/// Mirrors `Engine::drain_group`: pop a non-empty queue prefix bounded by
 /// `max_group_ops`; the first request always joins.
 fn drain_group(p: &Pipeline) -> Vec<Arc<Req>> {
     let mut q = p.commit_mx.lock();
@@ -94,7 +95,7 @@ fn drain_group(p: &Pipeline) -> Vec<Arc<Req>> {
     group
 }
 
-/// Mirrors `DbInner::commit_group`: assign a contiguous seqno range, one
+/// Mirrors `Engine::commit_group`: assign a contiguous seqno range, one
 /// append, at most one sync, then publish. Caller holds `write_mx`.
 fn commit_group(p: &Pipeline, c: &mut Counters, group: &[Arc<Req>]) {
     let base = p.seqno.load(Ordering::Acquire);
@@ -119,7 +120,7 @@ fn commit_group(p: &Pipeline, c: &mut Counters, group: &[Arc<Req>]) {
     p.seqno.store(base + n, Ordering::Release);
 }
 
-/// Mirrors `DbInner::commit_write`. `untimed` parks followers on a plain
+/// Mirrors `Engine::commit_write`. `untimed` parks followers on a plain
 /// `wait` instead of `wait_for`, turning any lost wakeup into a model
 /// deadlock (the real code's timeout is a safety net, not the protocol).
 fn commit_write(p: &Pipeline, req: &Arc<Req>, untimed: bool) {

@@ -62,6 +62,17 @@ fn atomics_spec_is_current_and_the_publication_protocol_holds() {
         seqno.consumers
     );
 
+    assert_eq!(
+        seqno.publishers,
+        ["bulk_load", "commit_group_inner", "recover"],
+        "one commit path: a second publisher is a second write path"
+    );
+    assert!(
+        seqno.consumers.iter().any(|c| c == "snapshot"),
+        "`Db::snapshot` pins the seqno it loads: {:?}",
+        seqno.consumers
+    );
+
     let done = field_of(&atomics, "lsm-core", "done");
     assert_eq!(done.role, "publication");
     assert_eq!(done.stores, ["Release"], "group leader publishes `done`");

@@ -65,10 +65,20 @@ fn durability_spec_is_current_and_the_commit_pipeline_is_ordered() {
         "group commit must log, sync, then publish"
     );
     assert_eq!(
-        effects_of(&durability, "lsm-core", "apply_locked"),
-        ["wal_append", "wal_sync", "seqno_publish"],
-        "the non-grouped write path must log, sync, then publish"
+        effects_of(&durability, "lsm-core", "update"),
+        ["call:maybe_stall", "call:commit_group", "call:maybe_freeze"],
+        "a read-modify-write commits through the one group-commit path"
     );
+    // One log-then-apply: the live commit and recovery's re-log are the
+    // only code in the engine that appends to a WAL.
+    let mut appenders: Vec<&str> = durability
+        .functions
+        .iter()
+        .filter(|f| f.crate_name == "lsm-core" && f.effects.iter().any(|e| e == "wal_append"))
+        .map(|f| f.name.as_str())
+        .collect();
+    appenders.sort_unstable();
+    assert_eq!(appenders, ["commit_group_inner", "recover"]);
     assert_eq!(
         effects_of(&durability, "lsm-core", "freeze_active"),
         ["wal_segment_create", "manifest_build", "manifest_persist"],
