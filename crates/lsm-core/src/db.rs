@@ -1,47 +1,70 @@
-//! The public single-keyspace database handle: a thin wrapper over one
-//! [`crate::engine::Engine`] instance (write path, read path, maintenance,
-//! recovery). The multi-shard router lives in [`crate::sharded`].
+//! The public database handle. A [`Db`] owns `N >= 1` engines
+//! ([`crate::engine::Engine`]: write path, read path, maintenance,
+//! recovery) and routes every call by key; `N = 1` is the plain
+//! single-keyspace store, and [`crate::sharded`] holds what only `N > 1`
+//! needs (partitioning, the cross-shard epoch window).
 
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use lsm_obs::{recovery_phase, EventKind, HistKind, ObsHandle, Observability, OpKind, ReadProbe};
 use lsm_sstable::{ReadCtx, TableReadOpts};
 use lsm_storage::{
-    Backend, BlockCache, CacheConfig, FileId, FsBackend, MemBackend, ObservedBackend,
+    shard_dir, Backend, BlockCache, CacheConfig, CacheStats, FileId, FsBackend, MemBackend,
+    ObservedBackend,
 };
 use lsm_sync::{ranks, OrderedMutex};
-use lsm_types::{EntryKind, Error, InternalEntry, KeyRange, Result, SeqNo, UserKey, Value};
+use lsm_types::{EntryKind, Error, Result, SeqNo, UserKey, Value};
 
-use crate::compact::{GcRules, OutputWriter};
-use crate::engine::{BatchOp, Engine, EpochFilter, MANIFEST_META};
+use crate::engine::{BatchOp, Engine, MANIFEST_META};
 use crate::metrics::MetricsSnapshot;
 use crate::options::Options;
 use crate::scan::VisibleIter;
-use crate::version::{Run, Version, VersionEdit};
+use crate::sharded::{EpochLog, Partitioning};
+use crate::version::Version;
 
 pub use crate::engine::RecoverySummary;
 
 /// The `lsm-lab` storage engine. Cheap to clone handles are not provided;
 /// wrap in `Arc` to share across threads (all methods take `&self`).
+///
+/// A `Db` opened with [`DbBuilder::shards`]`(n)` runs `n` engines, each
+/// with its own WAL, commit queue and maintenance threads, and routes
+/// every call by key (DESIGN.md, "Sharding"); the default is one.
 pub struct Db {
-    pub(crate) inner: Arc<Engine>,
+    pub(crate) inner: Arc<Shards>,
     workers: OrderedMutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
-/// A consistent read view pinned at a sequence number. Dropping the
-/// snapshot releases its pin on compaction garbage collection.
+/// The engines behind one [`Db`] and what routes between them. Shared
+/// (behind an `Arc`) with snapshots and the metrics exporter, which need
+/// the engines but not the worker threads.
+pub(crate) struct Shards {
+    pub(crate) engines: Vec<Arc<Engine>>,
+    pub(crate) partitioning: Partitioning,
+    /// Shard 0's raw backend, doubling as the coordinator metadata store
+    /// for the `SHARDS` and `EPOCHS` blobs when there are several shards.
+    pub(crate) coord: Arc<dyn Backend>,
+    /// Serializes multi-shard batches and snapshot cuts, and guards the
+    /// epoch log. Rank `sharded.epoch_mx` (80) sits below every engine
+    /// rank, because the holder runs full per-shard commits inside it.
+    pub(crate) epoch_mx: OrderedMutex<EpochLog>,
+    pub(crate) persist_epochs: bool,
+}
+
+/// A consistent read view pinned at one sequence number per shard. Dropping
+/// the snapshot releases its pins on compaction garbage collection.
 pub struct Snapshot {
-    inner: Arc<Engine>,
-    seqno: SeqNo,
+    inner: Arc<Shards>,
+    seqnos: Vec<SeqNo>,
 }
 
 impl Snapshot {
-    /// The sequence number this snapshot reads at.
+    /// The sequence number this snapshot reads at (with several shards,
+    /// the sum of the per-shard pins: a high-water mark, not an order).
     pub fn seqno(&self) -> SeqNo {
-        self.seqno
+        self.seqnos.iter().sum()
     }
 
     /// Point lookup at this snapshot.
@@ -53,7 +76,7 @@ impl Snapshot {
     /// seqno wins; [`ReadOptions::snapshot`] may only narrow it further
     /// (read even further into the past), never widen it.
     pub fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
-        fg_get(&self.inner, Some(self.seqno), key, opts)
+        self.inner.get(Some(&self.seqnos), key, opts)
     }
 
     /// Range scan at this snapshot.
@@ -69,17 +92,19 @@ impl Snapshot {
         end: Option<&[u8]>,
         opts: &ReadOptions,
     ) -> Result<DbScanIter> {
-        fg_scan(&self.inner, Some(self.seqno), start, end, opts)
+        self.inner.scan(Some(&self.seqnos), start, end, opts)
     }
 }
 
 impl Drop for Snapshot {
     fn drop(&mut self) {
-        let mut snaps = self.inner.snapshots.lock();
-        if let Some(count) = snaps.get_mut(&self.seqno) {
-            *count -= 1;
-            if *count == 0 {
-                snaps.remove(&self.seqno);
+        for (engine, seqno) in self.inner.engines.iter().zip(&self.seqnos) {
+            let mut snaps = engine.snapshots.lock();
+            if let Some(count) = snaps.get_mut(seqno) {
+                *count -= 1;
+                if *count == 0 {
+                    snaps.remove(seqno);
+                }
             }
         }
     }
@@ -105,9 +130,9 @@ pub struct WriteOptions {
 }
 
 /// Per-read options, threaded through the `*_opt` read methods
-/// ([`Db::get_opt`], [`Db::scan_opt`], and the [`Snapshot`] /
-/// [`crate::ShardedDb`] counterparts) — the read-side mirror of
-/// [`WriteOptions`]. The plain methods use [`ReadOptions::default`].
+/// ([`Db::get_opt`], [`Db::scan_opt`], and the [`Snapshot`]
+/// counterparts) — the read-side mirror of [`WriteOptions`]. The plain
+/// methods use [`ReadOptions::default`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReadOptions {
     /// Insert data blocks fetched for this read into the block cache
@@ -123,7 +148,10 @@ pub struct ReadOptions {
     /// detection of in-memory corruption.
     pub verify_checksums: bool,
     /// Read at this sequence number instead of the latest. Through a
-    /// [`Snapshot`], the pinned seqno caps whatever is given here.
+    /// [`Snapshot`], the pinned seqno caps whatever is given here. Seqnos
+    /// are per shard: with several shards this names a seqno of the shard
+    /// a read routes to, and a scan spanning shards ignores it (take a
+    /// [`Snapshot`] for a cross-shard cut).
     pub snapshot: Option<SeqNo>,
 }
 
@@ -169,7 +197,7 @@ impl WriteBatch {
         WriteBatch::default()
     }
 
-    fn push(&mut self, kind: EntryKind, key: &[u8], value: Value) -> &mut Self {
+    pub(crate) fn push(&mut self, kind: EntryKind, key: &[u8], value: Value) -> &mut Self {
         let key = key.into();
         self.ops.push(BatchOp { kind, key, value });
         self
@@ -229,16 +257,24 @@ impl WriteBatch {
 /// * [`backend`](DbBuilder::backend) → any backend; pair with
 ///   [`recover`](DbBuilder::recover) / [`manifest`](DbBuilder::manifest) /
 ///   [`persist_manifest`](DbBuilder::persist_manifest) as needed.
+/// * [`shards`](DbBuilder::shards)`(n)` → `n` engines behind one handle,
+///   routed by [`partitioning`](DbBuilder::partitioning); a directory then
+///   holds one sub-directory per shard, and
+///   [`backends`](DbBuilder::backends) takes one backend per shard.
 ///
 /// ```
 /// # use lsm_core::{Db, Options};
 /// let db = Db::builder().options(Options::small_for_benchmarks()).open()?;
 /// db.put(b"k", b"v")?;
+///
+/// let sharded = Db::builder().shards(4).open()?;
+/// sharded.put(b"k", b"v")?;
+/// assert_eq!(sharded.get(b"k")?.as_deref(), Some(&b"v"[..]));
 /// # lsm_core::Result::Ok(())
 /// ```
 #[derive(Default)]
 pub struct DbBuilder {
-    backend: Option<Arc<dyn Backend>>,
+    backends: Option<Vec<Arc<dyn Backend>>>,
     dir: Option<PathBuf>,
     opts: Options,
     manifest: Option<Vec<u8>>,
@@ -247,39 +283,61 @@ pub struct DbBuilder {
     clean_orphans: bool,
     obs: Observability,
     cache_config: Option<CacheConfig>,
-    /// Pre-built cache shared across databases; set (crate-internally) by
-    /// `ShardedDbBuilder` so every shard charges one capacity pool.
-    pub(crate) shared_cache: Option<Arc<BlockCache>>,
-    /// Cross-shard epoch filter for recovery; set (crate-internally) by
-    /// `ShardedDbBuilder` so each shard's replay can discard WAL records
-    /// of epochs the coordinator never committed.
-    pub(crate) epoch_filter: Option<EpochFilter>,
+    shards: Option<usize>,
+    partitioning: Partitioning,
 }
 
 impl DbBuilder {
-    /// Uses `backend` as the storage substrate. Mutually exclusive with
+    /// Uses `backend` as the storage substrate: `backends(vec![backend])`.
+    /// Mutually exclusive with [`dir`](DbBuilder::dir).
+    pub fn backend(self, backend: Arc<dyn Backend>) -> Self {
+        self.backends(vec![backend])
+    }
+
+    /// Uses the given backends, one per shard (the length must equal the
+    /// shard count). Shard 0's backend doubles as the coordinator metadata
+    /// store of a store with several shards. Mutually exclusive with
     /// [`dir`](DbBuilder::dir).
-    pub fn backend(mut self, backend: Arc<dyn Backend>) -> Self {
-        self.backend = Some(backend);
+    pub fn backends(mut self, backends: Vec<Arc<dyn Backend>>) -> Self {
+        self.backends = Some(backends);
         self
     }
 
-    /// Stores data in a filesystem directory (an [`FsBackend`]); switches
-    /// the defaults to persistent mode: the manifest is saved to the
-    /// backend's `MANIFEST` metadata blob and recovered from it on reopen.
+    /// Stores data in a filesystem directory (an [`FsBackend`]; with
+    /// several shards, one per shard under `<dir>/shard-NNN`, see
+    /// [`shard_dir`]); switches the defaults to persistent mode: the
+    /// manifest is saved to the backend's `MANIFEST` metadata blob and
+    /// recovered from it on reopen.
     pub fn dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.dir = Some(dir.into());
         self
     }
 
-    /// Engine options (defaults to [`Options::default`]).
+    /// Engine options (defaults to [`Options::default`]), applied to every
+    /// shard. [`Options::write_buffer_bytes`] and friends are per shard, so
+    /// memtable memory scales with the shard count.
     pub fn options(mut self, opts: Options) -> Self {
         self.opts = opts;
         self
     }
 
+    /// Number of shards (default 1). Each shard is a full engine: its own
+    /// memtable stack, WAL, commit queue, and maintenance threads.
+    pub fn shards(mut self, n: usize) -> Self {
+        self.shards = Some(n);
+        self
+    }
+
+    /// How keys map to shards (default [`Partitioning::Hash`]). A store
+    /// reopened with another shard count or partitioning is refused.
+    pub fn partitioning(mut self, p: Partitioning) -> Self {
+        self.partitioning = p;
+        self
+    }
+
     /// Recovers from an explicit manifest blob (as returned by
-    /// [`Db::manifest_bytes`]) instead of the backend's stored one.
+    /// [`Db::manifest_bytes`]) instead of the backend's stored one. One
+    /// shard only: [`open`](DbBuilder::open) refuses it with several.
     pub fn manifest(mut self, bytes: &[u8]) -> Self {
         self.manifest = Some(bytes.to_vec());
         self
@@ -294,7 +352,8 @@ impl DbBuilder {
     }
 
     /// Whether to look for a stored manifest and recover from it (WAL
-    /// replay included). Default: `true` with [`dir`](DbBuilder::dir) or an
+    /// replay included, with cross-shard epoch filtering when there are
+    /// several shards). Default: `true` with [`dir`](DbBuilder::dir) or an
     /// explicit [`manifest`](DbBuilder::manifest), `false` otherwise.
     pub fn recover(mut self, on: bool) -> Self {
         self.recover = Some(on);
@@ -316,6 +375,7 @@ impl DbBuilder {
     /// pass [`Observability::Off`] to reduce every instrumentation point
     /// to a branch, or [`Observability::Shared`] to record into a handle
     /// shared with other components (e.g. a fault-injecting backend).
+    /// Every shard records into the one handle this resolves to.
     pub fn obs(mut self, obs: Observability) -> Self {
         self.obs = obs;
         self
@@ -324,99 +384,156 @@ impl DbBuilder {
     /// Block-cache configuration: capacity, shard count, and the
     /// index/filter pinning policy. Takes precedence over the legacy
     /// [`Options::block_cache_bytes`] knob; a zero-capacity config runs
-    /// without a cache.
+    /// without a cache. One cache serves every shard, so capacity is a
+    /// database-wide budget and a hot shard borrows room from cold ones.
     pub fn cache_config(mut self, cfg: CacheConfig) -> Self {
         self.cache_config = Some(cfg);
         self
     }
 
-    /// Opens the database.
-    pub fn open(self) -> Result<Db> {
+    /// Opens (or recovers) the database.
+    pub fn open(mut self) -> Result<Db> {
         self.opts.validate()?;
-        if self.backend.is_some() && self.dir.is_some() {
+        let n = self.shards.unwrap_or(1);
+        self.partitioning.validate(n)?;
+        if n > 1 && self.manifest.is_some() {
             return Err(Error::InvalidArgument(
-                "DbBuilder: backend and dir are mutually exclusive".into(),
+                "DbBuilder: an explicit manifest needs a one-shard Db".into(),
             ));
         }
         let is_dir = self.dir.is_some();
-        let backend: Arc<dyn Backend> = match (self.backend, self.dir) {
+        let raw: Vec<Arc<dyn Backend>> = match (self.backends.take(), self.dir.take()) {
+            (Some(_), Some(_)) => {
+                return Err(Error::InvalidArgument(
+                    "DbBuilder: backends and dir are mutually exclusive".into(),
+                ))
+            }
+            (Some(b), None) if b.len() != n => {
+                return Err(Error::InvalidArgument(format!(
+                    "DbBuilder: {} backends for {n} shards",
+                    b.len()
+                )))
+            }
             (Some(b), None) => b,
-            (None, Some(d)) => Arc::new(FsBackend::open(d)?),
-            (None, None) => Arc::new(MemBackend::new()),
-            (Some(_), Some(_)) => unreachable!("rejected above"),
+            (None, Some(dir)) if n == 1 => {
+                vec![Arc::new(FsBackend::open(dir)?) as Arc<dyn Backend>]
+            }
+            (None, Some(root)) => (0..n)
+                .map(|i| {
+                    let shard = FsBackend::open(shard_dir(root.clone(), i))?;
+                    Ok(Arc::new(shard) as Arc<dyn Backend>)
+                })
+                .collect::<Result<_>>()?,
+            (None, None) => (0..n)
+                .map(|_| Arc::new(MemBackend::new()) as Arc<dyn Backend>)
+                .collect(),
         };
+        let persist = self.persist_manifest.unwrap_or(is_dir);
+        let want_recover = self.recover.unwrap_or(is_dir || self.manifest.is_some());
+        let coord = Arc::clone(&raw[0]);
+        // A store of several shards keeps its layout and epoch log on shard
+        // 0's raw backend; one shard has neither.
+        let epochs = match n {
+            1 => None,
+            _ if want_recover => Some(EpochLog::load(coord.as_ref(), n, &self.partitioning)?),
+            _ => Some(EpochLog::default()),
+        };
+        let filter = epochs
+            .as_ref()
+            .filter(|_| want_recover)
+            .map(EpochLog::filter);
         let obs = self.obs.into_handle();
         // Wrap once at construction so every engine I/O path is timed
         // without touching any call site (the wrapper delegates `stats()`
         // to the inner backend, so I/O byte counters are unaffected).
-        let backend: Arc<dyn Backend> = if obs.enabled() {
-            Arc::new(ObservedBackend::new(backend, obs.clone()))
-        } else {
-            backend
-        };
-        let persist = self.persist_manifest.unwrap_or(is_dir);
-        let want_recover = self.recover.unwrap_or(is_dir || self.manifest.is_some());
-        let manifest_bytes = match self.manifest {
-            Some(bytes) => Some(bytes),
-            None if want_recover => backend.get_meta(MANIFEST_META)?.map(|b| b.to_vec()),
-            None => None,
-        };
+        let backends: Vec<Arc<dyn Backend>> = raw
+            .into_iter()
+            .map(|b| {
+                if obs.enabled() {
+                    Arc::new(ObservedBackend::new(b, obs.clone()))
+                } else {
+                    b
+                }
+            })
+            .collect();
+        let mut manifests = Vec::with_capacity(n);
+        for backend in &backends {
+            manifests.push(match self.manifest.take() {
+                Some(bytes) => Some(bytes),
+                None if want_recover => backend.get_meta(MANIFEST_META)?.map(|b| b.to_vec()),
+                None => None,
+            });
+        }
         // Recovery is a span: the phase instants (manifest, WAL replay,
         // relog, orphan sweep) emitted inside attach to it as children,
         // so a trace shows startup as one bracketed region.
-        let recovering = manifest_bytes.is_some() || self.clean_orphans;
+        let recovering = manifests.iter().any(Option::is_some) || self.clean_orphans;
         let span = recovering.then(|| obs.span_begin(EventKind::RecoveryStart, None, 0, 0));
-        let end_obs = obs.clone();
         let mut swept = 0u64;
-        // Cache resolution: an explicitly shared cache wins (sharded
-        // router), then an explicit config, then the legacy capacity knob
-        // (which inherits the default sharding/pinning policy).
-        let cache: Option<Arc<BlockCache>> = match self.shared_cache {
-            Some(c) => Some(c),
-            None => self
-                .cache_config
-                .or_else(|| {
-                    (self.opts.block_cache_bytes > 0).then(|| CacheConfig {
-                        capacity_bytes: self.opts.block_cache_bytes,
-                        ..CacheConfig::default()
-                    })
+        // Cache resolution: an explicit config, then the legacy capacity
+        // knob (which inherits the default sharding/pinning policy).
+        let cache: Option<BlockCache> = self
+            .cache_config
+            .or_else(|| {
+                (self.opts.block_cache_bytes > 0).then(|| CacheConfig {
+                    capacity_bytes: self.opts.block_cache_bytes,
+                    ..CacheConfig::default()
                 })
-                .filter(|c| c.capacity_bytes > 0)
-                .map(|c| Arc::new(BlockCache::with_config(c))),
-        };
-        let opened = (|| -> Result<Arc<Engine>> {
-            let inner = match manifest_bytes {
-                Some(bytes) => Engine::recover(
-                    backend,
-                    self.opts,
-                    cache,
-                    &bytes,
-                    persist,
-                    obs,
-                    self.epoch_filter.as_ref(),
-                )?,
-                None => {
-                    let inner = Engine::new(backend, self.opts, cache, persist, obs)?;
-                    inner.save_manifest()?;
-                    inner
+            })
+            .filter(|c| c.capacity_bytes > 0)
+            .map(BlockCache::with_config);
+        let opened = (|| -> Result<Vec<Arc<Engine>>> {
+            let mut engines = Vec::with_capacity(n);
+            for (i, (backend, manifest)) in backends.into_iter().zip(manifests).enumerate() {
+                // Shards allocate file ids independently: one namespace
+                // each keeps their blocks apart in the one cache.
+                let cache = cache.as_ref().map(|c| Arc::new(c.namespaced(i as u64)));
+                let (opts, obs) = (self.opts.clone(), obs.clone());
+                let engine = match manifest {
+                    Some(bytes) => Engine::recover(
+                        backend,
+                        opts,
+                        cache,
+                        &bytes,
+                        persist,
+                        obs,
+                        filter.as_ref(),
+                    )?,
+                    None => {
+                        let engine = Engine::new(backend, opts, cache, persist, obs)?;
+                        engine.save_manifest()?;
+                        engine
+                    }
+                };
+                if self.clean_orphans {
+                    let removed = engine.clean_orphans(&[])?;
+                    swept += removed as u64;
+                    engine.obs.emit(
+                        EventKind::RecoveryPhase,
+                        None,
+                        recovery_phase::ORPHAN_SWEEP,
+                        removed as u64,
+                    );
                 }
-            };
-            if self.clean_orphans {
-                let removed = inner.clean_orphans(&[])?;
-                swept = removed as u64;
-                inner.obs.emit(
-                    EventKind::RecoveryPhase,
-                    None,
-                    recovery_phase::ORPHAN_SWEEP,
-                    removed as u64,
-                );
+                engines.push(engine);
             }
-            Ok(inner)
+            Ok(engines)
         })();
         if let Some(span) = span {
-            end_obs.span_end(span, EventKind::RecoveryEnd, None, swept, 0);
+            obs.span_end(span, EventKind::RecoveryEnd, None, swept, 0);
         }
-        Db::finish_open(opened?)
+        let engines = opened?;
+        let log = match epochs {
+            Some(log) => log.reset(coord.as_ref(), n, &self.partitioning, persist)?,
+            None => EpochLog::default(),
+        };
+        Db::finish_open(Shards {
+            engines,
+            partitioning: self.partitioning,
+            coord,
+            epoch_mx: OrderedMutex::new(ranks::SHARDED_EPOCH, log),
+            persist_epochs: persist,
+        })
     }
 }
 
@@ -426,26 +543,45 @@ impl Db {
         DbBuilder::default()
     }
 
-    fn finish_open(inner: Arc<Engine>) -> Result<Db> {
+    fn finish_open(shards: Shards) -> Result<Db> {
         let mut workers = Vec::new();
-        for i in 0..inner.opts.background_threads {
-            let inner = Arc::clone(&inner);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("lsm-bg-{i}"))
-                    .spawn(move || inner.worker_loop())
-                    .map_err(Error::Io)?,
-            );
+        for engine in &shards.engines {
+            for i in 0..engine.opts.background_threads {
+                let engine = Arc::clone(engine);
+                workers.push(
+                    std::thread::Builder::new()
+                        .name(format!("lsm-bg-{i}"))
+                        .spawn(move || engine.worker_loop())
+                        .map_err(Error::Io)?,
+                );
+            }
         }
         Ok(Db {
-            inner,
+            inner: Arc::new(shards),
             workers: OrderedMutex::new(ranks::DB_WORKERS, workers),
         })
     }
 
-    /// The current serialized manifest (tree shape + WAL list + clocks).
+    /// Shard 0's engine: what the whole-tree accessors describe.
+    fn first(&self) -> &Engine {
+        &self.inner.engines[0]
+    }
+
+    /// The one engine of a one-shard `Db`; `InvalidArgument` naming `what`
+    /// with several.
+    fn sole_engine(&self, what: &str) -> Result<&Engine> {
+        match &self.inner.engines[..] {
+            [engine] => Ok(engine.as_ref()),
+            _ => Err(Error::InvalidArgument(format!(
+                "{what} needs a one-shard Db"
+            ))),
+        }
+    }
+
+    /// The current serialized manifest (tree shape + WAL list + clocks) of
+    /// shard 0.
     pub fn manifest_bytes(&self) -> Vec<u8> {
-        self.inner.build_manifest().encode()
+        self.first().build_manifest().encode()
     }
 
     /// Inserts or updates `key -> value`.
@@ -453,7 +589,9 @@ impl Db {
         self.put_opt(key, value, &WriteOptions::default())
     }
 
-    /// [`Db::put`] with per-write durability options.
+    /// [`Db::put`] with per-write durability options, honoured by the
+    /// owning shard alone — a `no_wal` or unsynced write on one shard never
+    /// forces (or skips) a sync on any other.
     pub fn put_opt(&self, key: &[u8], value: &[u8], w: &WriteOptions) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.put(key, value);
@@ -465,7 +603,8 @@ impl Db {
         self.delete_opt(key, &WriteOptions::default())
     }
 
-    /// [`Db::delete`] with per-write durability options.
+    /// [`Db::delete`] with per-write durability options (routed like
+    /// [`Db::put_opt`]).
     pub fn delete_opt(&self, key: &[u8], w: &WriteOptions) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.delete(key);
@@ -478,14 +617,17 @@ impl Db {
     pub fn single_delete(&self, key: &[u8]) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.single_delete(key);
-        self.write(batch)
+        self.write_opt(batch, &WriteOptions::default())
     }
 
-    /// Deletes every key in `[start, end)` with one range tombstone.
+    /// Deletes every key in `[start, end)` with one range tombstone. With
+    /// several shards the tombstone goes to every shard the range can
+    /// cover: the intersecting ones under [`Partitioning::Range`], all of
+    /// them under [`Partitioning::Hash`] (a multi-shard batch).
     pub fn delete_range(&self, start: &[u8], end: &[u8]) -> Result<()> {
         let mut batch = WriteBatch::new();
         batch.delete_range(start, end);
-        self.write(batch)
+        self.write_opt(batch, &WriteOptions::default())
     }
 
     /// Applies a [`WriteBatch`] atomically.
@@ -493,48 +635,32 @@ impl Db {
         self.write_opt(batch, &WriteOptions::default())
     }
 
-    /// [`Db::write`] with per-write durability options. The batch stays
-    /// atomic: it occupies one framed WAL record inside the group's
-    /// append, so recovery replays it all-or-nothing.
+    /// [`Db::write`] with per-write durability options. A batch whose ops
+    /// all land on one shard stays atomic by occupying one framed WAL
+    /// record inside its group's append, so recovery replays it
+    /// all-or-nothing. A batch spanning shards commits in the cross-shard
+    /// epoch window (DESIGN.md, "Sharding"): crash-atomic whatever `w.sync`
+    /// says, unless `w.no_wal` opts it out.
     pub fn write_opt(&self, batch: WriteBatch, w: &WriteOptions) -> Result<()> {
-        fg_write(&self.inner, batch, |ops| {
-            self.inner.commit_write(ops, w, None)
-        })
+        match self.inner.sole_shard(&batch) {
+            Some(i) => self.inner.engines[i].commit_batch(batch, w, None),
+            None => self.inner.write_epoch(batch, w),
+        }
     }
 
-    /// Atomic read-modify-write (the FASTER-style operation of tutorial
-    /// §2.2.6, RocksDB's merge-operator use case): `f` receives the current
-    /// value (if any) and returns the new value (`None` deletes the key).
-    /// The read and the write happen under the writer lock, so concurrent
-    /// `update`s to the same key never lose increments.
+    /// Atomic read-modify-write on `key`'s shard (the FASTER-style
+    /// operation of tutorial §2.2.6, RocksDB's merge-operator use case):
+    /// `f` receives the current value (if any) and returns the new value
+    /// (`None` deletes the key). The read and the write happen under the
+    /// writer lock, so concurrent `update`s to the same key never lose
+    /// increments.
     pub fn update(
         &self,
         key: &[u8],
         f: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>,
     ) -> Result<()> {
-        self.inner.check_bg_error()?;
-        self.inner.maybe_stall()?;
-        {
-            // Holding the writer ticket from the read to the publish is the
-            // read-modify-write contract: no commit lands in between.
-            let _writer = self.inner.write_mx.lock();
-            let snapshot = self.inner.seqno.load(Ordering::Acquire);
-            let current = self.inner.get(key, snapshot, &mut ReadCtx::default())?;
-            let mut batch = WriteBatch::new();
-            match f(current.as_deref()) {
-                Some(new) => batch.push(EntryKind::Put, key, new.into()),
-                None if current.is_some() => batch.delete(key),
-                None => &mut batch, // nothing to delete: an empty batch commits nothing
-            };
-            // The result commits as a one-request group under the ticket
-            // already held, which is exactly what a queue leader holds.
-            fg_write(&self.inner, batch, |ops| {
-                let req = self.inner.request(ops, &WriteOptions::default(), None);
-                // lsm-lint: allow(io-under-lock)
-                self.inner.commit_group(&[req])
-            })?;
-        }
-        self.inner.maybe_freeze()
+        let shard = self.inner.partitioning.shard_of(key, self.num_shards());
+        self.inner.engines[shard].update(key, f)
     }
 
     /// Bulk-loads sorted, unique `(key, value)` pairs directly into the
@@ -544,108 +670,14 @@ impl Db {
     /// than put-at-a-time. The tables come from the writer flush and
     /// compaction use, so they split, pin and are counted the same way.
     ///
-    /// Requirements (checked): keys strictly ascending; the memtables are
-    /// empty; the loaded key range overlaps no existing table.
+    /// Requirements (checked): one shard; keys strictly ascending; the
+    /// memtables are empty; the loaded key range overlaps no existing
+    /// table.
     pub fn bulk_load<I>(&self, pairs: I) -> Result<()>
     where
         I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     {
-        let _writer = self.inner.write_mx.lock();
-        {
-            let mem = self.inner.mem.read();
-            if !mem.active.table.is_empty() || !mem.immutables.is_empty() {
-                return Err(Error::InvalidArgument(
-                    "bulk_load requires empty memtables (flush first)".into(),
-                ));
-            }
-        }
-        let base = self.inner.seqno.load(Ordering::Acquire);
-        let ts = self.inner.clock.load(Ordering::Acquire);
-        let version = self.inner.current.lock().clone();
-        // Lands as a new run at the deepest occupied level.
-        let last_level = version
-            .levels
-            .iter()
-            .rposition(|l| !l.is_empty())
-            .unwrap_or(0);
-
-        let mut pairs = pairs.into_iter();
-        let (mut count, mut bytes) = (0u64, 0u64);
-        let mut last_key: Option<UserKey> = None;
-        let mut ascending = true;
-        let writer = OutputWriter {
-            warm_cache: false,
-            ..self.inner.output_writer(&version, last_level)
-        };
-        // Bulk load owns the writer ticket end-to-end by design.
-        // lsm-lint: allow(io-under-lock)
-        let written = writer.write(
-            || {
-                let Some((key, value)) = pairs.next() else {
-                    return Ok(None);
-                };
-                if last_key.as_ref().is_some_and(|l| l.as_bytes() >= &key[..]) {
-                    // The stream ends here; what it wrote is withdrawn below.
-                    ascending = false;
-                    return Ok(None);
-                }
-                count += 1;
-                bytes += (key.len() + value.len()) as u64;
-                let key = UserKey::from(key);
-                last_key = Some(key.clone());
-                Ok(Some(InternalEntry::put(key, value, base + count, ts)))
-            },
-            // Unique keys, one version each: nothing for GC to drop.
-            GcRules {
-                snapshots: &[],
-                bottommost: false,
-                range_tombstones: Vec::new(),
-                may_drop_range_tombstone: &|_| false,
-            },
-            u64::MAX,
-        )?;
-        let loaded = KeyRange::union_all(written.tables.iter().map(|t| &t.meta().key_range));
-        let overlaps = loaded.is_some_and(|loaded| {
-            version
-                .all_tables()
-                .any(|t| t.meta().key_range.overlaps(&loaded))
-        });
-        if !ascending || overlaps {
-            for t in &written.tables {
-                t.mark_obsolete();
-            }
-            return Err(Error::InvalidArgument(if ascending {
-                "bulk_load key range overlaps existing data".into()
-            } else {
-                "bulk_load input must be strictly ascending".into()
-            }));
-        }
-        if written.tables.is_empty() {
-            return Ok(());
-        }
-        {
-            let mut current = self.inner.current.lock();
-            let edit = VersionEdit {
-                add_runs: vec![(last_level, Run::new(written.tables))],
-                ..Default::default()
-            };
-            *current = Arc::new(edit.apply(current.as_ref()));
-        }
-        self.inner.stats.puts.fetch_add(count, Ordering::Relaxed);
-        self.inner
-            .stats
-            .user_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-        self.inner
-            .stats
-            .flush_bytes
-            .fetch_add(written.bytes_written, Ordering::Relaxed);
-        self.inner.clock.fetch_add(count, Ordering::AcqRel);
-        self.inner.seqno.store(base + count, Ordering::Release);
-        // Bulk load owns the writer ticket end-to-end by design.
-        // lsm-lint: allow(io-under-lock)
-        self.inner.save_manifest()?;
-        Ok(())
+        self.sole_engine("bulk_load")?.bulk_load(pairs)
     }
 
     /// Returns the newest value of `key`, if it exists.
@@ -654,14 +686,16 @@ impl Db {
     }
 
     /// [`Db::get`] with per-read options ([`ReadOptions::snapshot`] reads
-    /// at a pinned seqno without holding a [`Snapshot`]).
+    /// at a pinned seqno of the key's shard without holding a
+    /// [`Snapshot`]).
     pub fn get_opt(&self, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
-        fg_get(&self.inner, None, key, opts)
+        self.inner.get(None, key, opts)
     }
 
     /// Scans `[start, end)` (`None` = unbounded above) at the current
-    /// sequence number. The scan histogram records iterator construction
-    /// (source collection + merge setup), not iteration.
+    /// sequence number, merged across the shards the range intersects.
+    /// The scan histogram records iterator construction (source collection
+    /// + merge setup), not iteration.
     pub fn scan(&self, start: &[u8], end: Option<&[u8]>) -> Result<DbScanIter> {
         self.scan_opt(start, end, &ReadOptions::default())
     }
@@ -674,138 +708,166 @@ impl Db {
         end: Option<&[u8]>,
         opts: &ReadOptions,
     ) -> Result<DbScanIter> {
-        fg_scan(&self.inner, None, start, end, opts)
+        self.inner.scan(None, start, end, opts)
     }
 
-    /// Pins a consistent read view.
+    /// Pins a consistent read view: one seqno per shard, read and
+    /// registered inside the epoch window, so a multi-shard batch is in
+    /// the view whole or not at all.
     pub fn snapshot(&self) -> Snapshot {
-        // The seqno is read while the registry is locked: a flush or
+        let _cut = self.inner.epoch_mx.lock();
+        // Each seqno is read while its registry is locked: a flush or
         // compaction that listed the registry before this lock was taken
         // only has inputs published before its listing, so whatever it
         // drops is older than a version this snapshot sees.
-        let seqno = {
-            let mut snapshots = self.inner.snapshots.lock();
-            let seqno = self.inner.seqno.load(Ordering::Acquire);
-            *snapshots.entry(seqno).or_insert(0) += 1;
-            seqno
-        };
+        let seqnos = self
+            .inner
+            .engines
+            .iter()
+            .map(|engine| {
+                let mut snapshots = engine.snapshots.lock();
+                let seqno = engine.seqno.load(Ordering::Acquire);
+                *snapshots.entry(seqno).or_insert(0) += 1;
+                seqno
+            })
+            .collect();
         Snapshot {
             inner: Arc::clone(&self.inner),
-            seqno,
+            seqnos,
         }
     }
 
     /// Runs flushes and compactions until the tree satisfies every trigger
-    /// (synchronous mode) or until background workers have nothing queued.
+    /// (synchronous mode) or until background workers have nothing queued,
+    /// on every shard.
     pub fn maintain(&self) -> Result<()> {
-        if self.inner.opts.background_threads > 0 {
-            self.inner.kick_work();
-            return Ok(());
-        }
-        self.inner.drain_maintenance()
+        self.inner
+            .engines
+            .iter()
+            .try_for_each(|e| e.maintain_shard())
     }
 
-    /// Blocks until no maintenance work remains (flushes done, no plan
-    /// pending). In synchronous mode this is [`Db::maintain`].
+    /// Blocks until no shard has maintenance work remaining (flushes done,
+    /// no plan pending). In synchronous mode this is [`Db::maintain`].
     pub fn wait_idle(&self) -> Result<()> {
-        if self.inner.opts.background_threads == 0 {
-            return self.inner.drain_maintenance();
-        }
-        loop {
-            self.inner.check_bg_error()?;
-            if self.inner.is_idle() {
-                return Ok(());
-            }
-            self.inner.kick_work();
-            // Park on the maintenance-progress condvar instead of polling.
-            // Completions notify `stall_cv` while holding `stall_mx`, so
-            // re-checking idleness under the lock cannot miss a wakeup; the
-            // timeout is a safety net, not the progress mechanism.
-            let mut guard = self.inner.stall_mx.lock();
-            if self.inner.is_idle() {
-                return Ok(());
-            }
-            self.inner.stats.idle_waits.fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .stall_cv
-                .wait_for(&mut guard, Duration::from_millis(100));
-        }
+        self.inner
+            .engines
+            .iter()
+            .try_for_each(|e| e.wait_idle_shard())
     }
 
-    /// Forces the active memtable to freeze and flush, even if not full.
+    /// Forces every shard's active memtable to freeze and flush, even if
+    /// not full.
     pub fn flush(&self) -> Result<()> {
-        self.inner.freeze_active(true)?;
-        if self.inner.opts.background_threads == 0 {
-            self.inner.drain_maintenance()
-        } else {
-            self.inner.kick_work();
-            self.wait_idle()
-        }
+        self.inner.engines.iter().try_for_each(|e| e.flush_shard())
     }
 
     /// Every counter surface in one snapshot (engine + backend I/O +
     /// cache), with a [`MetricsSnapshot::delta`] combinator for phase
-    /// measurements.
+    /// measurements. With several shards the per-shard counters add, the
+    /// levels add index-wise, and the read-amp estimate averages weighted
+    /// by read traffic; the cache and the latency histograms are
+    /// database-wide and count once.
     pub fn metrics(&self) -> MetricsSnapshot {
-        engine_metrics(&self.inner)
+        self.inner.metrics()
     }
 
-    /// Spawns a [`MetricsExporter`] appending one metrics-delta JSONL line
-    /// per [`Options::metrics_export_interval`] to `sink`. The exporter
-    /// holds only the engine (not the worker threads), so it keeps running
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.inner.engines.len()
+    }
+
+    /// One shard's unmerged counters, I/O and tree shape (per-shard sync
+    /// counts for experiments; see benchmark E14). The cache and latency
+    /// columns are the database-wide ones.
+    pub fn shard_metrics(&self, i: usize) -> MetricsSnapshot {
+        engine_metrics(&self.inner.engines[i])
+    }
+
+    /// Spawns a [`MetricsExporter`](crate::MetricsExporter) appending one
+    /// metrics-delta JSONL line of [`Db::metrics`] per
+    /// [`Options::metrics_export_interval`] to `sink`. The exporter holds
+    /// only the engines (not the worker threads), so it keeps running
     /// until stopped or dropped even if this `Db` handle is dropped first.
     pub fn metrics_exporter<W>(&self, sink: W) -> crate::MetricsExporter
     where
         W: std::io::Write + Send + 'static,
     {
-        let engine = Arc::clone(&self.inner);
+        let shards = Arc::clone(&self.inner);
         crate::MetricsExporter::spawn(
-            move || engine_metrics(&engine),
-            self.inner.opts.metrics_export_interval,
+            move || shards.metrics(),
+            self.first().opts.metrics_export_interval,
             sink,
         )
     }
 
     /// The full metrics surface rendered as Prometheus text exposition:
-    /// counters, gauges, and latency quantiles from [`Db::metrics`], plus
-    /// the observability-side series (event drops, workload op mix, hot
-    /// keys) that live outside [`MetricsSnapshot`].
+    /// counters, gauges, and latency quantiles from [`Db::metrics`] (with
+    /// several shards, followed by every shard's samples labelled
+    /// `shard="i"` against the same family declarations), plus the
+    /// observability-side series (event drops, workload op mix, hot keys)
+    /// that live outside [`MetricsSnapshot`].
     pub fn metrics_text(&self) -> String {
         let mut prom = lsm_obs::PromText::new();
         self.metrics().prometheus_render(&mut prom, &[]);
-        self.inner.obs.prometheus_render_aux(&mut prom, &[]);
+        if self.num_shards() > 1 {
+            for i in 0..self.num_shards() {
+                let label = i.to_string();
+                self.shard_metrics(i)
+                    .prometheus_render(&mut prom, &[("shard", &label)]);
+            }
+        }
+        self.obs().prometheus_render_aux(&mut prom, &[]);
         prom.finish()
     }
 
-    /// The observability handle: latency histograms and the structured
-    /// event trace. Always present; a handle opened with
-    /// [`Observability::Off`] reports empty surfaces.
+    /// The observability handle every shard records into: latency
+    /// histograms and the structured event trace. Always present; a handle
+    /// opened with [`Observability::Off`] reports empty surfaces.
     pub fn obs(&self) -> &ObsHandle {
-        &self.inner.obs
+        &self.first().obs
     }
 
-    /// What recovery did when this database was opened: `None` for a fresh
-    /// database, `Some` after a manifest-driven recovery (even a clean one).
+    /// What recovery did when this database was opened, summed over
+    /// shards: `None` for a fresh database, `Some` after a manifest-driven
+    /// recovery (even a clean one).
     pub fn recovery_summary(&self) -> Option<RecoverySummary> {
-        self.inner.recovery.lock().clone()
+        let mut sum: Option<RecoverySummary> = None;
+        for engine in &self.inner.engines {
+            let Some(r) = engine.recovery.lock().clone() else {
+                continue;
+            };
+            let s = sum.get_or_insert_with(RecoverySummary::default);
+            s.segments_replayed += r.segments_replayed;
+            s.segments_missing += r.segments_missing;
+            s.records_recovered += r.records_recovered;
+            s.records_discarded += r.records_discarded;
+            s.wal_bytes_truncated += r.wal_bytes_truncated;
+            s.torn_segments += r.torn_segments;
+        }
+        sum
     }
 
     /// Deletes backend files referenced by neither the manifest (tables,
     /// live WAL segments) nor `protected` (e.g. WiscKey value-log
-    /// segments). Idempotent; tolerates concurrently-vanishing files.
-    /// Returns the number of files removed.
+    /// segments), on every shard. Idempotent; tolerates
+    /// concurrently-vanishing files. Returns the number of files removed.
     pub fn clean_orphans(&self, protected: &[FileId]) -> Result<usize> {
-        self.inner.clean_orphans(protected)
+        let mut removed = 0;
+        for engine in &self.inner.engines {
+            removed += engine.clean_orphans(protected)?;
+        }
+        Ok(removed)
     }
 
-    /// The current tree shape, for inspection and experiments.
+    /// Shard 0's current tree shape, for inspection and experiments.
     pub fn version(&self) -> Arc<Version> {
-        self.inner.current.lock().clone()
+        self.first().current.lock().clone()
     }
 
-    /// Space amplification: bytes on the backend divided by the bytes of
-    /// live (visible) entries is hard to measure cheaply, so we report the
-    /// standard proxy: total tree bytes over last-level bytes.
+    /// Space amplification of shard 0: bytes on the backend divided by the
+    /// bytes of live (visible) entries is hard to measure cheaply, so we
+    /// report the standard proxy: total tree bytes over last-level bytes.
     pub fn space_amplification(&self) -> f64 {
         let v = self.version();
         let last = v.levels.iter().rposition(|l| !l.is_empty()).unwrap_or(0);
@@ -819,24 +881,25 @@ impl Db {
 
     /// The options this database was opened with.
     pub fn options(&self) -> &Options {
-        &self.inner.opts
+        &self.first().opts
     }
 }
 
 impl Drop for Db {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.work_cv.notify_all();
+        for engine in &self.inner.engines {
+            engine.shutdown.store(true, Ordering::Release);
+            engine.work_cv.notify_all();
+        }
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-/// [`Db::metrics`] against a bare engine, so the metrics exporter can
-/// keep polling without holding (and without keeping alive) the worker
-/// threads a full [`Db`] handle owns.
-pub(crate) fn engine_metrics(inner: &Engine) -> MetricsSnapshot {
+/// One engine's metrics, without holding (and without keeping alive) the
+/// worker threads a full [`Db`] handle owns.
+fn engine_metrics(inner: &Engine) -> MetricsSnapshot {
     let version = inner.current.lock().clone();
     let levels = version.describe().level_gauges();
     MetricsSnapshot {
@@ -849,13 +912,91 @@ pub(crate) fn engine_metrics(inner: &Engine) -> MetricsSnapshot {
     }
 }
 
+impl Shards {
+    /// [`Db::metrics`]: shard 0's snapshot with every other shard merged
+    /// in. All shards share one cache and one obs handle, so those columns
+    /// are taken once, not summed N times.
+    fn metrics(&self) -> MetricsSnapshot {
+        let mut acc = engine_metrics(&self.engines[0]);
+        for engine in &self.engines[1..] {
+            acc.merge(&MetricsSnapshot {
+                cache: acc.cache.map(|_| CacheStats::default()),
+                latency: Default::default(),
+                ..engine_metrics(engine)
+            });
+        }
+        acc
+    }
+
+    /// The shard every op of `batch` lands on (shard 0 for an empty batch),
+    /// or `None` when it spans several.
+    fn sole_shard(&self, batch: &WriteBatch) -> Option<usize> {
+        if self.engines.len() == 1 {
+            return Some(0);
+        }
+        let mut sole = None;
+        for op in &batch.ops {
+            let shards = self.shards_of_op(op);
+            let first = *shards.start();
+            if *shards.end() != first || sole.is_some_and(|s| s != first) {
+                return None;
+            }
+            sole = Some(first);
+        }
+        Some(sole.unwrap_or(0))
+    }
+
+    /// The foreground point read behind every public `get`: on the key's
+    /// shard, sampled by [`Engine::instrument_fg`], at the seqno
+    /// [`Engine::read_seqno`] resolves (`pins` are a [`Snapshot`]'s
+    /// per-shard seqnos, `None` through a [`Db`]).
+    fn get(&self, pins: Option<&[SeqNo]>, key: &[u8], opts: &ReadOptions) -> Result<Option<Value>> {
+        let i = self.partitioning.shard_of(key, self.engines.len());
+        let engine = &self.engines[i];
+        engine.instrument_fg(HistKind::Get, OpKind::Get, key, |probe| {
+            let seqno = engine.read_seqno(pins.map(|p| p[i]), opts);
+            engine.get(key, seqno, &mut opts.ctx(probe))
+        })
+    }
+
+    /// The same for every public `scan`: only the shards `[start, end)`
+    /// intersects are opened, one of them without a merge. A scan over
+    /// several shards ignores [`ReadOptions::snapshot`] (shard seqnos are
+    /// independent; a [`Snapshot`] is the cross-shard cut).
+    fn scan(
+        &self,
+        pins: Option<&[SeqNo]>,
+        start: &[u8],
+        end: Option<&[u8]>,
+        opts: &ReadOptions,
+    ) -> Result<DbScanIter> {
+        let shards = self.partitioning.shards_of(start, end, self.engines.len());
+        let one = |i: usize, opts: &ReadOptions| {
+            let engine = &self.engines[i];
+            engine.instrument_fg(HistKind::Scan, OpKind::Scan, start, |probe| {
+                let seqno = engine.read_seqno(pins.map(|p| p[i]), opts);
+                engine.scan(start, end, seqno, &mut opts.ctx(probe))
+            })
+        };
+        if shards.start() == shards.end() {
+            return one(*shards.start(), opts);
+        }
+        let opts = ReadOptions {
+            snapshot: None,
+            ..*opts
+        };
+        let iters = shards.map(|i| one(i, &opts)).collect::<Result<_>>()?;
+        DbScanIter::merged(iters)
+    }
+}
+
 /// The foreground write behind every public mutation, the twin of
-/// [`fg_get`]: the one place that turns away an empty or invalid batch,
-/// counts `puts`/`deletes`/`user_bytes`, and samples the commit through
-/// [`Engine::instrument_fg`] (histogram and op class from the first op).
-/// `commit` is the queue ([`Engine::commit_write`]; the sharded router
-/// passes its cross-shard epoch there) for every caller but [`Db::update`],
-/// which commits under the ticket it already holds.
+/// [`Shards::get`]: the one place that turns away an empty or invalid
+/// batch, counts `puts`/`deletes`/`user_bytes`, and samples the commit
+/// through [`Engine::instrument_fg`] (histogram and op class from the
+/// first op). `commit` is the queue ([`Engine::commit_batch`]) for every
+/// caller but [`Engine::update`], which commits under the ticket it
+/// already holds.
 pub(crate) fn fg_write(
     engine: &Engine,
     batch: WriteBatch,
@@ -880,38 +1021,6 @@ pub(crate) fn fg_write(
     engine.stats.deletes.fetch_add(deletes, Ordering::Relaxed);
     engine.stats.user_bytes.fetch_add(bytes, Ordering::Relaxed);
     engine.instrument_fg(hist, kind, key.as_bytes(), |_| commit(batch.ops))
-}
-
-/// The foreground point read behind every public `get`: sampled by
-/// [`Engine::instrument_fg`], at the seqno [`Engine::read_seqno`] resolves
-/// (`pin` is a [`Snapshot`]'s seqno, `None` through a [`Db`]).
-fn fg_get(
-    engine: &Engine,
-    pin: Option<SeqNo>,
-    key: &[u8],
-    opts: &ReadOptions,
-) -> Result<Option<Value>> {
-    engine.instrument_fg(HistKind::Get, OpKind::Get, key, |probe| {
-        engine.get(key, engine.read_seqno(pin, opts), &mut opts.ctx(probe))
-    })
-}
-
-/// [`fg_get`] for every public `scan`.
-fn fg_scan(
-    engine: &Engine,
-    pin: Option<SeqNo>,
-    start: &[u8],
-    end: Option<&[u8]>,
-    opts: &ReadOptions,
-) -> Result<DbScanIter> {
-    engine.instrument_fg(HistKind::Scan, OpKind::Scan, start, |probe| {
-        engine.scan(
-            start,
-            end,
-            engine.read_seqno(pin, opts),
-            &mut opts.ctx(probe),
-        )
-    })
 }
 
 /// A consistent read surface — either the live [`Db`] (which reads at the
@@ -945,8 +1054,12 @@ impl ReadView for Db {
         Db::scan_opt(self, start, end, opts)
     }
 
+    /// With several shards, the sum of every shard's published seqno: a
+    /// monotone high-water mark of applied writes (shards allocate
+    /// independently, so this is not a global ordering).
     fn seqno(&self) -> SeqNo {
-        self.inner.seqno.load(Ordering::Acquire)
+        let engines = self.inner.engines.iter();
+        engines.map(|e| e.seqno.load(Ordering::Acquire)).sum()
     }
 }
 
@@ -991,8 +1104,8 @@ impl DbScanIter {
         }
     }
 
-    /// Merges per-shard scans into one ascending stream (used by
-    /// [`crate::ShardedDb::scan`]).
+    /// Merges per-shard scans into one ascending stream (a [`Db`] scan
+    /// over several shards).
     pub(crate) fn merged(iters: Vec<DbScanIter>) -> Result<DbScanIter> {
         let mut peeked = Vec::with_capacity(iters.len());
         let mut iters = iters;

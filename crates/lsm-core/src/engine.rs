@@ -1,9 +1,8 @@
 //! The reusable engine instance: one memtable + WAL + commit queue +
-//! maintenance pipeline + manifest. [`crate::Db`] is a thin handle over a
-//! single [`Engine`]; [`crate::ShardedDb`] owns one `Engine` per shard
-//! behind a partitioning router. The engine is crate-private on purpose:
-//! every supported construction path goes through [`crate::DbBuilder`] or
-//! [`crate::ShardedDbBuilder`].
+//! maintenance pipeline + manifest. A [`crate::Db`] owns one `Engine` per
+//! shard (one by default) and routes every call by key. The engine is
+//! crate-private on purpose: every supported construction path goes
+//! through [`crate::DbBuilder`].
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -20,10 +19,12 @@ use lsm_sstable::{ReadCtx, Table};
 use lsm_storage::{wal, Backend, BlockCache, FileId};
 use lsm_sync::{ranks, Condvar, OrderedMutex, OrderedRwLock};
 use lsm_types::encoding::{put_varint, Decoder};
-use lsm_types::{EntryKind, Error, InternalEntry, InternalKey, Result, SeqNo, UserKey, Value};
+use lsm_types::{
+    EntryKind, Error, InternalEntry, InternalKey, KeyRange, Result, SeqNo, UserKey, Value,
+};
 
 use crate::compact::{execute_plan, GcRules, OutputWriter};
-use crate::db::{DbScanIter, ReadOptions, WriteOptions};
+use crate::db::{fg_write, DbScanIter, ReadOptions, WriteBatch, WriteOptions};
 use crate::manifest::Manifest;
 use crate::options::Options;
 use crate::scan::{build_scan_merge, VisibleIter};
@@ -101,7 +102,7 @@ pub struct RecoverySummary {
     pub records_recovered: usize,
     /// Epoch-tagged WAL records discarded because their cross-shard commit
     /// epoch never committed (see the DESIGN.md "Sharding" section). Always
-    /// zero outside a [`crate::ShardedDb`] recovery.
+    /// zero unless the [`crate::Db`] has several shards.
     pub records_discarded: usize,
     /// Bytes discarded across all torn WAL tails.
     pub wal_bytes_truncated: u64,
@@ -136,7 +137,7 @@ pub(crate) fn split_epoch_tag(record: &[u8]) -> Result<(Option<u64>, &[u8])> {
 }
 
 /// Which cross-shard commit epochs recovery may keep. Built by
-/// [`crate::ShardedDbBuilder`] from the coordinator's epoch log and handed
+/// [`crate::DbBuilder`] from the coordinator's epoch log and handed
 /// to every shard's recovery: tagged records whose epoch is absent belong
 /// to a batch that never fully committed and are discarded.
 #[derive(Clone, Debug, Default)]
@@ -206,7 +207,7 @@ impl BatchOp {
 
 /// A self-contained storage engine instance: memtable stack, WAL, group
 /// commit queue, compaction scheduler, and manifest persistence. Exactly
-/// the former `DbInner`, extracted so a router can own several.
+/// the former `DbInner`, extracted so one `Db` can own several.
 pub(crate) struct Engine {
     pub(crate) opts: Options,
     pub(crate) backend: Arc<dyn Backend>,
@@ -261,7 +262,7 @@ pub(crate) struct Engine {
     /// While non-zero, `freeze_active` refuses to freeze: a flush would
     /// persist epoch-tagged entries into SSTs, where recovery could no
     /// longer discard them if the epoch never commits. Incremented and
-    /// decremented by the `ShardedDb` router around each epoch window.
+    /// decremented by the `Db` around each epoch window.
     pub(crate) epoch_pins: AtomicU64,
 }
 
@@ -481,7 +482,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Records a background-class error (used by the sharded router when a
+    /// Records a background-class error (used by a `Db` with shards when a
     /// cross-shard commit could not be recorded on the coordinator, so no
     /// further acknowledged write builds on a maybe-discarded prefix).
     pub(crate) fn set_bg_error(&self, msg: &str) {
@@ -529,7 +530,7 @@ impl Engine {
     /// waiter re-checks `done` under the same lock, so no wakeup is missed;
     /// the timeout is a safety net, not the progress mechanism).
     ///
-    /// `epoch` is `Some` only for a sharded cross-shard batch: the
+    /// `epoch` is `Some` only for a sub-batch of a cross-shard batch: the
     /// request's WAL record gets the epoch tag so recovery can make the
     /// whole multi-shard batch all-or-none.
     pub(crate) fn commit_write(
@@ -610,6 +611,150 @@ impl Engine {
             return Err(same_error(e));
         }
         self.maybe_freeze()
+    }
+
+    /// The commit behind every routed write: [`fg_write`] through the
+    /// group-commit queue. `epoch` is set only for a sub-batch of a
+    /// cross-shard batch (see [`Engine::commit_write`]).
+    pub(crate) fn commit_batch(
+        &self,
+        batch: WriteBatch,
+        w: &WriteOptions,
+        epoch: Option<u64>,
+    ) -> Result<()> {
+        fg_write(self, batch, |ops| self.commit_write(ops, w, epoch))
+    }
+
+    /// [`Db::update`](crate::Db::update) on this shard: the read and the
+    /// write happen under the writer ticket, so concurrent `update`s to the
+    /// same key never lose increments.
+    pub(crate) fn update(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>,
+    ) -> Result<()> {
+        self.check_bg_error()?;
+        self.maybe_stall()?;
+        {
+            // Holding the writer ticket from the read to the publish is the
+            // read-modify-write contract: no commit lands in between.
+            let _writer = self.write_mx.lock();
+            let snapshot = self.seqno.load(Ordering::Acquire);
+            let current = self.get(key, snapshot, &mut ReadCtx::default())?;
+            let mut batch = WriteBatch::new();
+            match f(current.as_deref()) {
+                Some(new) => batch.push(EntryKind::Put, key, new.into()),
+                None if current.is_some() => batch.delete(key),
+                None => &mut batch, // nothing to delete: an empty batch commits nothing
+            };
+            // The result commits as a one-request group under the ticket
+            // already held, which is exactly what a queue leader holds.
+            fg_write(self, batch, |ops| {
+                let req = self.request(ops, &WriteOptions::default(), None);
+                // lsm-lint: allow(io-under-lock)
+                self.commit_group(&[req])
+            })?;
+        }
+        self.maybe_freeze()
+    }
+
+    /// [`Db::bulk_load`](crate::Db::bulk_load) on a one-shard database.
+    pub(crate) fn bulk_load<I>(&self, pairs: I) -> Result<()>
+    where
+        I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+    {
+        let _writer = self.write_mx.lock();
+        {
+            let mem = self.mem.read();
+            if !mem.active.table.is_empty() || !mem.immutables.is_empty() {
+                return Err(Error::InvalidArgument(
+                    "bulk_load requires empty memtables (flush first)".into(),
+                ));
+            }
+        }
+        let base = self.seqno.load(Ordering::Acquire);
+        let ts = self.clock.load(Ordering::Acquire);
+        let version = self.current.lock().clone();
+        // Lands as a new run at the deepest occupied level.
+        let last_level = version
+            .levels
+            .iter()
+            .rposition(|l| !l.is_empty())
+            .unwrap_or(0);
+
+        let mut pairs = pairs.into_iter();
+        let (mut count, mut bytes) = (0u64, 0u64);
+        let mut last_key: Option<UserKey> = None;
+        let mut ascending = true;
+        let writer = OutputWriter {
+            warm_cache: false,
+            ..self.output_writer(&version, last_level)
+        };
+        // Bulk load owns the writer ticket end-to-end by design.
+        // lsm-lint: allow(io-under-lock)
+        let written = writer.write(
+            || {
+                let Some((key, value)) = pairs.next() else {
+                    return Ok(None);
+                };
+                if last_key.as_ref().is_some_and(|l| l.as_bytes() >= &key[..]) {
+                    // The stream ends here; what it wrote is withdrawn below.
+                    ascending = false;
+                    return Ok(None);
+                }
+                count += 1;
+                bytes += (key.len() + value.len()) as u64;
+                let key = UserKey::from(key);
+                last_key = Some(key.clone());
+                Ok(Some(InternalEntry::put(key, value, base + count, ts)))
+            },
+            // Unique keys, one version each: nothing for GC to drop.
+            GcRules {
+                snapshots: &[],
+                bottommost: false,
+                range_tombstones: Vec::new(),
+                may_drop_range_tombstone: &|_| false,
+            },
+            u64::MAX,
+        )?;
+        let loaded = KeyRange::union_all(written.tables.iter().map(|t| &t.meta().key_range));
+        let overlaps = loaded.is_some_and(|loaded| {
+            version
+                .all_tables()
+                .any(|t| t.meta().key_range.overlaps(&loaded))
+        });
+        if !ascending || overlaps {
+            for t in &written.tables {
+                t.mark_obsolete();
+            }
+            return Err(Error::InvalidArgument(if ascending {
+                "bulk_load key range overlaps existing data".into()
+            } else {
+                "bulk_load input must be strictly ascending".into()
+            }));
+        }
+        if written.tables.is_empty() {
+            return Ok(());
+        }
+        {
+            let mut current = self.current.lock();
+            let edit = VersionEdit {
+                add_runs: vec![(last_level, Run::new(written.tables))],
+                ..Default::default()
+            };
+            *current = Arc::new(edit.apply(current.as_ref()));
+        }
+        self.stats.puts.fetch_add(count, Ordering::Relaxed);
+        self.stats.user_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.stats
+            .flush_bytes
+            .fetch_add(written.bytes_written, Ordering::Relaxed);
+        self.clock.fetch_add(count, Ordering::AcqRel);
+        self.seqno.store(base + count, Ordering::Release);
+        // Bulk load owns the writer ticket end-to-end by design.
+        // lsm-lint: allow(io-under-lock)
+        self.save_manifest()?;
+        Ok(())
     }
 
     /// One writer's request: its ops plus the durability `w` asks for.
@@ -943,8 +1088,8 @@ impl Engine {
     /// the slow-op check (emitting a receipt with the read-path breakdown
     /// when it crosses `Options::slow_op_threshold`); the unsampled
     /// 15-in-16 pay one branch and no clock read. Every public surface
-    /// (`Db`, `Snapshot`, and `ShardedDb` through its shards) reads and
-    /// writes through this one wrapper.
+    /// (`Db` and `Snapshot`, on whichever shard a call routes to) reads
+    /// and writes through this one wrapper.
     #[inline]
     pub(crate) fn instrument_fg<T>(
         &self,
@@ -1121,6 +1266,52 @@ impl Engine {
                 }
                 other => return other,
             }
+        }
+    }
+
+    /// One shard's part of [`Db::maintain`](crate::Db::maintain): drain
+    /// inline in synchronous mode, else wake the workers.
+    pub(crate) fn maintain_shard(&self) -> Result<()> {
+        if self.opts.background_threads > 0 {
+            self.kick_work();
+            return Ok(());
+        }
+        self.drain_maintenance()
+    }
+
+    /// One shard's part of [`Db::wait_idle`](crate::Db::wait_idle).
+    pub(crate) fn wait_idle_shard(&self) -> Result<()> {
+        if self.opts.background_threads == 0 {
+            return self.drain_maintenance();
+        }
+        loop {
+            self.check_bg_error()?;
+            if self.is_idle() {
+                return Ok(());
+            }
+            self.kick_work();
+            // Park on the maintenance-progress condvar instead of polling.
+            // Completions notify `stall_cv` while holding `stall_mx`, so
+            // re-checking idleness under the lock cannot miss a wakeup; the
+            // timeout is a safety net, not the progress mechanism.
+            let mut guard = self.stall_mx.lock();
+            if self.is_idle() {
+                return Ok(());
+            }
+            self.stats.idle_waits.fetch_add(1, Ordering::Relaxed);
+            self.stall_cv
+                .wait_for(&mut guard, Duration::from_millis(100));
+        }
+    }
+
+    /// One shard's part of [`Db::flush`](crate::Db::flush).
+    pub(crate) fn flush_shard(&self) -> Result<()> {
+        self.freeze_active(true)?;
+        if self.opts.background_threads == 0 {
+            self.drain_maintenance()
+        } else {
+            self.kick_work();
+            self.wait_idle_shard()
         }
     }
 
@@ -1363,11 +1554,18 @@ impl Engine {
     }
 
     pub(crate) fn try_compact_one(&self) -> Result<bool> {
-        // Plan under the scheduler lock so busy levels are respected.
+        // Plan under the scheduler lock so busy levels are respected, on a
+        // version read while that lock is held. A compaction clears its
+        // busy levels only after installing, so every finished install is
+        // in the plan's version; planning on an older one could merge
+        // tables another worker already consumed and splice outputs that
+        // overlap its outputs into one run.
         let (version, task) = {
-            let version = self.current.lock().clone();
+            let current = self.current.lock();
             let bottom_ok = self.bottom_ok();
             let mut sched = self.sched.lock();
+            let version = Arc::clone(&current);
+            drop(current);
             let desc = version.describe();
             let now = self.clock.load(Ordering::Acquire);
             let Some(task) = plan_observed(
@@ -1610,7 +1808,7 @@ mod tests {
             .options(opts)
             .open()
             .unwrap();
-        let (db, engine) = (&db, &db.inner);
+        let (db, engine) = (&db, &db.inner.engines[0]);
 
         // With the writer ticket taken nobody can lead: every writer
         // queues up, and the one group they form meets the armed fault.

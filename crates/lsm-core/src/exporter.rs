@@ -25,9 +25,8 @@ use lsm_sync::{ranks, Condvar, OrderedMutex};
 use crate::metrics::MetricsSnapshot;
 
 /// Anything the exporter can poll for a metrics snapshot. Implemented by
-/// the closures [`crate::Db::metrics_exporter`] and
-/// [`crate::ShardedDb::metrics_exporter`] build over their engines, and
-/// by plain `Fn() -> MetricsSnapshot` closures for tests and custom
+/// the closure [`crate::Db::metrics_exporter`] builds over its engines,
+/// and by plain `Fn() -> MetricsSnapshot` closures for tests and custom
 /// aggregations.
 pub trait MetricsSource: Send + 'static {
     /// A point-in-time snapshot of every counter surface.

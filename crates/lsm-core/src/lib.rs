@@ -22,6 +22,12 @@
 //! | Block cache (+ Leaper warming) (§2.1.3) | `block_cache_bytes`, `warm_cache_after_compaction` |
 //! | Background parallelism (§2.2.5) | `background_threads` |
 //!
+//! Keyspace partitioning, the other parallelism knob of §2.2.5, is a
+//! property of the same [`Db`]: [`DbBuilder::shards`] runs N engines, each
+//! with its own WAL, commit queue and maintenance threads, routed by a
+//! [`Partitioning`] (see the `sharded` module for cross-shard batches and
+//! snapshots).
+//!
 //! The engine runs in two maintenance modes: **synchronous** (flush and
 //! compaction run inline on the writing thread — deterministic, the mode
 //! experiments use) and **background** (worker threads drain the maintenance
@@ -46,7 +52,7 @@ pub use db::{
 pub use exporter::{MetricsExporter, MetricsSource};
 pub use metrics::MetricsSnapshot;
 pub use options::Options;
-pub use sharded::{Partitioning, ShardedDb, ShardedDbBuilder};
+pub use sharded::Partitioning;
 pub use stats::{DbStats, StatsSnapshot};
 pub use version::{Run, Version};
 

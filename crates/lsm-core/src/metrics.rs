@@ -61,7 +61,7 @@ impl MetricsSnapshot {
     /// add, level gauges add index-wise (total resident structure across
     /// shards), and the cache column survives only if every merged
     /// snapshot carries one. Used by
-    /// [`ShardedDb::metrics`](crate::ShardedDb::metrics) to present N
+    /// [`Db::metrics`](crate::Db::metrics) to present N
     /// shard engines as one surface.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         // Weighted average by read traffic, captured before the counter

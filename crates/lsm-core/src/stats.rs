@@ -140,7 +140,7 @@ impl StatsSnapshot {
     }
 
     /// Accumulates `other` into `self` (aggregating per-shard engines into
-    /// one router-wide view; every field is a sum-friendly counter).
+    /// one database-wide view; every field is a sum-friendly counter).
     pub fn merge(&mut self, other: &StatsSnapshot) {
         self.puts += other.puts;
         self.gets += other.gets;

@@ -1,6 +1,5 @@
 //! Public-API golden test: pins the exported `Db` / `DbBuilder` /
-//! `WriteBatch` / `WriteOptions` surface — and the sharded mirror
-//! (`ShardedDb` / `ShardedDbBuilder` / `Partitioning`) — so future
+//! `WriteBatch` / `WriteOptions` / `Partitioning` surface so future
 //! breakage is deliberate. The `Engine` extracted from `Db` is
 //! crate-private by design and must never appear here.
 //!
@@ -18,8 +17,8 @@ use std::sync::Arc;
 
 use lsm_core::{
     CacheConfig, Db, DbBuilder, DbScanIter, MetricsSnapshot, Observability, Options, Partitioning,
-    ReadOptions, ReadView, RecoverySummary, Result, SeqNo, ShardedDb, ShardedDbBuilder, Snapshot,
-    Value, Version, WriteBatch, WriteOptions,
+    ReadOptions, ReadView, RecoverySummary, Result, SeqNo, Snapshot, Value, Version, WriteBatch,
+    WriteOptions,
 };
 use lsm_storage::{Backend, FileId};
 
@@ -36,7 +35,19 @@ fn db_construction_surface_is_stable() {
     let _: fn(DbBuilder, bool) -> DbBuilder = DbBuilder::clean_orphans;
     let _: fn(DbBuilder, Observability) -> DbBuilder = DbBuilder::obs;
     let _: fn(DbBuilder, CacheConfig) -> DbBuilder = DbBuilder::cache_config;
+    let _: fn(DbBuilder, usize) -> DbBuilder = DbBuilder::shards;
+    let _: fn(DbBuilder, Partitioning) -> DbBuilder = DbBuilder::partitioning;
+    let _: fn(DbBuilder, Vec<Arc<dyn Backend>>) -> DbBuilder = DbBuilder::backends;
     let _: fn(DbBuilder) -> Result<Db> = DbBuilder::open;
+
+    // `Partitioning` is matched exhaustively: a new variant (or a changed
+    // payload) must update this file.
+    fn _partitioning_is_exhaustive(p: &Partitioning) {
+        match p {
+            Partitioning::Hash => {}
+            Partitioning::Range { split_points: _ } => {}
+        }
+    }
 }
 
 #[test]
@@ -66,6 +77,8 @@ fn db_read_and_maintenance_surface_is_stable() {
     // README deprecation schedule and was removed; resurrecting any of
     // them must re-pin it here.
     let _: fn(&Db) -> MetricsSnapshot = Db::metrics;
+    let _: fn(&Db, usize) -> MetricsSnapshot = Db::shard_metrics;
+    let _: fn(&Db) -> usize = Db::num_shards;
     let _: fn(&Db) -> Option<RecoverySummary> = Db::recovery_summary;
     let _: fn(&Db, &[FileId]) -> Result<usize> = Db::clean_orphans;
     let _: fn(&Db) -> Arc<Version> = Db::version;
@@ -83,78 +96,17 @@ fn db_read_and_maintenance_surface_is_stable() {
 
 #[test]
 fn db_is_a_thin_one_shard_wrapper() {
-    // The engine refactor's contract: `Db` carries exactly a shared engine
-    // handle plus the worker-thread registry — nothing else. Any state
-    // added to `Db` (rather than the crate-private `Engine`) would be
-    // state the sharded router silently lacks, so this size pin fails the
-    // moment a field lands in the wrapper instead of the engine.
+    // The engine refactor's contract: `Db` carries exactly a shared handle
+    // to its engines plus the worker-thread registry — nothing else. State
+    // belongs in the crate-private `Engine` (per shard) or beside the
+    // engines (shared with snapshots and the exporter), so this size pin
+    // fails the moment a field lands in the wrapper instead.
     assert_eq!(
         std::mem::size_of::<Db>(),
         std::mem::size_of::<Arc<()>>()
             + std::mem::size_of::<lsm_sync::OrderedMutex<Vec<std::thread::JoinHandle<()>>>>(),
-        "Db must stay a thin wrapper: Arc<Engine> + worker registry"
+        "Db must stay a thin wrapper: Arc<engines> + worker registry"
     );
-}
-
-#[test]
-fn sharded_construction_surface_is_stable() {
-    let _: fn() -> ShardedDbBuilder = ShardedDb::builder;
-    let _: fn(ShardedDbBuilder, usize) -> ShardedDbBuilder = ShardedDbBuilder::shards;
-    let _: fn(ShardedDbBuilder, Partitioning) -> ShardedDbBuilder = ShardedDbBuilder::partitioning;
-    let _: fn(ShardedDbBuilder, PathBuf) -> ShardedDbBuilder = ShardedDbBuilder::dir;
-    let _: fn(ShardedDbBuilder, Vec<Arc<dyn Backend>>) -> ShardedDbBuilder =
-        ShardedDbBuilder::backends;
-    let _: fn(ShardedDbBuilder, Options) -> ShardedDbBuilder = ShardedDbBuilder::options;
-    let _: fn(ShardedDbBuilder, bool) -> ShardedDbBuilder = ShardedDbBuilder::persist_manifest;
-    let _: fn(ShardedDbBuilder, bool) -> ShardedDbBuilder = ShardedDbBuilder::recover;
-    let _: fn(ShardedDbBuilder, bool) -> ShardedDbBuilder = ShardedDbBuilder::clean_orphans;
-    let _: fn(ShardedDbBuilder, Observability) -> ShardedDbBuilder = ShardedDbBuilder::obs;
-    let _: fn(ShardedDbBuilder, CacheConfig) -> ShardedDbBuilder = ShardedDbBuilder::cache_config;
-    let _: fn(ShardedDbBuilder) -> Result<ShardedDb> = ShardedDbBuilder::open;
-
-    // `Partitioning` is matched exhaustively: a new variant (or a changed
-    // payload) must update this file.
-    fn _partitioning_is_exhaustive(p: &Partitioning) {
-        match p {
-            Partitioning::Hash => {}
-            Partitioning::Range { split_points: _ } => {}
-        }
-    }
-}
-
-#[test]
-fn sharded_db_surface_mirrors_db() {
-    let _: fn(&ShardedDb, &[u8], &[u8]) -> Result<()> = ShardedDb::put;
-    let _: fn(&ShardedDb, &[u8], &[u8], &WriteOptions) -> Result<()> = ShardedDb::put_opt;
-    let _: fn(&ShardedDb, &[u8]) -> Result<()> = ShardedDb::delete;
-    let _: fn(&ShardedDb, &[u8], &WriteOptions) -> Result<()> = ShardedDb::delete_opt;
-    let _: fn(&ShardedDb, &[u8]) -> Result<()> = ShardedDb::single_delete;
-    let _: fn(&ShardedDb, &[u8], &[u8]) -> Result<()> = ShardedDb::delete_range;
-    let _: fn(&ShardedDb, WriteBatch) -> Result<()> = ShardedDb::write;
-    let _: fn(&ShardedDb, WriteBatch, &WriteOptions) -> Result<()> = ShardedDb::write_opt;
-    let _: fn(&ShardedDb, &[u8]) -> Result<Option<Value>> = ShardedDb::get;
-    let _: fn(&ShardedDb, &[u8], &ReadOptions) -> Result<Option<Value>> = ShardedDb::get_opt;
-    let _: fn(&ShardedDb, &[u8], Option<&[u8]>) -> Result<DbScanIter> = ShardedDb::scan;
-    let _: fn(&ShardedDb, &[u8], Option<&[u8]>, &ReadOptions) -> Result<DbScanIter> =
-        ShardedDb::scan_opt;
-    let _: fn(&ShardedDb) -> Result<()> = ShardedDb::maintain;
-    let _: fn(&ShardedDb) -> Result<()> = ShardedDb::wait_idle;
-    let _: fn(&ShardedDb) -> Result<()> = ShardedDb::flush;
-    let _: fn(&ShardedDb) -> MetricsSnapshot = ShardedDb::metrics;
-    let _: fn(&ShardedDb, usize) -> MetricsSnapshot = ShardedDb::shard_metrics;
-    let _: fn(&ShardedDb) -> usize = ShardedDb::num_shards;
-    let _: fn(&ShardedDb, &[u8]) -> usize = ShardedDb::shard_of;
-    let _: fn(&ShardedDb, usize) -> &Db = ShardedDb::shard;
-    let _: fn(&ShardedDb) -> &Partitioning = ShardedDb::partitioning;
-    let _: fn(&ShardedDb) -> usize = ShardedDb::records_discarded;
-
-    // The router is a `ReadView` like `Db` and `Snapshot`.
-    let _: fn(&ShardedDb, &[u8]) -> Result<Option<Value>> = <ShardedDb as ReadView>::get;
-    let _: fn(&ShardedDb, &[u8], &ReadOptions) -> Result<Option<Value>> =
-        <ShardedDb as ReadView>::get_opt;
-    let _: fn(&ShardedDb, &[u8], Option<&[u8]>, &ReadOptions) -> Result<DbScanIter> =
-        <ShardedDb as ReadView>::scan_opt;
-    let _: fn(&ShardedDb) -> SeqNo = <ShardedDb as ReadView>::seqno;
 }
 
 #[test]

@@ -1,9 +1,11 @@
-//! Compaction allocates per block, not per entry: the table → table
-//! pipeline shares each input block with the entries decoded from it and
-//! encodes them straight into the output file image. Pinned with a count,
-//! not a clock: merging N entries may cost at most `C0 + C1 · blocks`
-//! heap allocations (it cost more than `4 · N` while every decoded entry
-//! was copied out of its block and into the builder's key lists).
+//! Allocation counts, pinned instead of timed. Compaction allocates per
+//! block, not per entry: the table → table pipeline shares each input
+//! block with the entries decoded from it and encodes them straight into
+//! the output file image. Merging N entries may cost at most
+//! `C0 + C1 · blocks` heap allocations (it cost more than `4 · N` while
+//! every decoded entry was copied out of its block and into the builder's
+//! key lists). And the foreground ops of a one-shard `Db` allocate no
+//! more than the single engine did before `Db` routed by key.
 
 // Test code: panicking on unexpected results is the assertion style.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -12,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use lsm_core::{DataLayout, Db, Options};
+use lsm_core::{DataLayout, Db, Observability, Options};
 use lsm_storage::MemBackend;
 
 thread_local! {
@@ -101,5 +103,63 @@ fn compaction_allocates_per_block_not_per_entry() {
         "compacting {N} entries over {blocks} blocks took {allocations} allocations \
          (allowed {C0} + {C1} per block; {} would be 4 per entry)",
         4 * N
+    );
+}
+
+/// Allocations per foreground op through a one-shard `Db`, summed over
+/// `OPS` ops on the calling thread, with observability off so no sampled
+/// op takes the instrumented branch. Pinned as upper bounds at the counts
+/// the single-engine `Db` measured before it became a router (identical
+/// on every run): 24 024 for 2 000 puts, 4 000 for 2 000 memtable gets,
+/// 230 266 for 2 000 scans of 50 keys. Routing by key must cost the
+/// benchmark's one-shard path no allocation.
+#[test]
+fn one_shard_foreground_ops_allocate_no_more_than_a_single_engine() {
+    const OPS: u64 = 2_000;
+    const PUTS: u64 = 24_024;
+    const GETS: u64 = 4_000;
+    const SCANS: u64 = 230_266;
+    let opts = Options {
+        wal: true,
+        wal_sync: false,
+        background_threads: 0,
+        write_buffer_bytes: 64 << 20, // everything stays in the memtable
+        block_cache_bytes: 0,
+        ..Options::default()
+    };
+    let db = Db::builder()
+        .shards(1)
+        .backend(Arc::new(MemBackend::new()))
+        .options(opts)
+        .obs(Observability::Off)
+        .open()
+        .unwrap();
+    let count = |op: &mut dyn FnMut(usize)| {
+        let before = ALLOCATIONS.with(Cell::get);
+        for i in 0..OPS as usize {
+            op(i);
+        }
+        ALLOCATIONS.with(Cell::get) - before
+    };
+    let keys: Vec<_> = (0..OPS)
+        .map(|i| format!("user{i:010}").into_bytes())
+        .collect();
+    let puts = count(&mut |i| db.put(&keys[i], &[b'v'; 100]).unwrap());
+    let gets = count(&mut |i| assert!(db.get(&keys[i]).unwrap().is_some()));
+    let scans = count(&mut |i| {
+        let start = &keys[i % (keys.len() - 50)];
+        assert_eq!(db.scan(start, None).unwrap().take(50).count(), 50);
+    });
+    assert!(
+        puts <= PUTS,
+        "{OPS} puts took {puts} allocations (pin {PUTS})"
+    );
+    assert!(
+        gets <= GETS,
+        "{OPS} gets took {gets} allocations (pin {GETS})"
+    );
+    assert!(
+        scans <= SCANS,
+        "{OPS} 50-key scans took {scans} allocations (pin {SCANS})"
     );
 }

@@ -1,6 +1,7 @@
 //! Full-stack observability tests: causal span nesting through real
 //! flushes and compactions, the background metrics exporter's JSONL
-//! round-trip, and the Prometheus surfaces of [`Db`] and [`ShardedDb`].
+//! round-trip, and the Prometheus surfaces of [`Db`] with one shard and with
+//! several.
 
 // Test code: panicking on unexpected results is the assertion style.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -9,7 +10,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use lsm_core::{Db, Event, EventKind, Options, ReadProbe, ReadView, ShardedDb};
+use lsm_core::{Db, Event, EventKind, Options, ReadProbe, ReadView};
 use lsm_obs::slow_op;
 
 fn churn_opts() -> Options {
@@ -193,7 +194,7 @@ fn metrics_exporter_deltas_sum_to_totals() {
 /// but the intensive read-amp column must not.
 #[test]
 fn sharded_exporter_and_read_amp_merge() {
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(2)
         .options(Options::small_for_benchmarks())
         .open()
@@ -229,11 +230,11 @@ fn sharded_exporter_and_read_amp_merge() {
     assert_eq!(puts, 100, "sharded exporter lost or duplicated deltas");
 }
 
-/// `ShardedDb::metrics_text` must carry the aggregate unlabelled and every
+/// A sharded `Db::metrics_text` must carry the aggregate unlabelled and every
 /// shard's samples with a `shard=` label.
 #[test]
 fn sharded_prometheus_text_labels_shards() {
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(2)
         .options(Options::small_for_benchmarks())
         .open()

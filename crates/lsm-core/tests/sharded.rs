@@ -1,11 +1,16 @@
-//! Integration tests for [`ShardedDb`]: routing, per-shard durability
-//! isolation, merged scans, cross-shard batch atomicity across reopen, and
-//! builder validation.
+//! Integration tests for a [`Db`] with several shards: routing, per-shard
+//! durability isolation, merged and clipped scans, snapshot cuts,
+//! cross-shard batch atomicity across reopen, and builder validation.
 
+// Test code: panicking on unexpected results is the assertion style.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 use lsm_core::{
-    Options, Partitioning, ReadView, ShardedDb, ShardedDbBuilder, WriteBatch, WriteOptions,
+    CacheConfig, Db, DbBuilder, Options, Partitioning, ReadView, WriteBatch, WriteOptions,
 };
 use lsm_storage::{Backend, FaultBackend, MemBackend};
 
@@ -28,7 +33,7 @@ fn range_3() -> Partitioning {
 
 #[test]
 fn hash_sharding_routes_and_reads_back() {
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(4)
         .options(Options::small_for_benchmarks())
         .open()
@@ -55,7 +60,7 @@ fn hash_sharding_routes_and_reads_back() {
 
 #[test]
 fn merged_scan_is_globally_ordered() {
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(3)
         .options(Options::small_for_benchmarks())
         .open()
@@ -83,38 +88,158 @@ fn merged_scan_is_globally_ordered() {
 
 #[test]
 fn range_partitioning_places_keys_on_owning_shards() {
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(3)
         .partitioning(range_3())
         .options(Options::small_for_benchmarks())
         .open()
         .unwrap();
-    assert_eq!(db.shard_of(b"apple"), 0);
-    assert_eq!(db.shard_of(b"h"), 1); // split key belongs to the right side
-    assert_eq!(db.shard_of(b"melon"), 1);
-    assert_eq!(db.shard_of(b"zebra"), 2);
-    db.put(b"apple", b"1").unwrap();
-    db.put(b"melon", b"2").unwrap();
-    db.put(b"zebra", b"3").unwrap();
-    // The owning shard (and only it) holds each key.
-    assert_eq!(
-        db.shard(0).get(b"apple").unwrap().as_deref(),
-        Some(&b"1"[..])
-    );
-    assert_eq!(db.shard(1).get(b"apple").unwrap(), None);
-    assert_eq!(
-        db.shard(1).get(b"melon").unwrap().as_deref(),
-        Some(&b"2"[..])
-    );
-    assert_eq!(
-        db.shard(2).get(b"zebra").unwrap().as_deref(),
-        Some(&b"3"[..])
-    );
+    // The owning shard (and only it) takes each key; the split key
+    // belongs to the right side.
+    let owners: [(&[u8], &[u8], usize); 4] = [
+        (b"apple", b"1", 0),
+        (b"h", b"h", 1),
+        (b"melon", b"2", 1),
+        (b"zebra", b"3", 2),
+    ];
+    for (key, value, owner) in owners {
+        let before = shard_puts(&db);
+        db.put(key, value).unwrap();
+        let mut expected = before;
+        expected[owner] += 1;
+        assert_eq!(
+            shard_puts(&db),
+            expected,
+            "{key:?} must land on shard {owner}"
+        );
+        assert_eq!(db.get(key).unwrap().as_deref(), Some(value));
+    }
+}
+
+fn shard_puts(db: &Db) -> Vec<u64> {
+    (0..db.num_shards())
+        .map(|s| db.shard_metrics(s).db.puts)
+        .collect()
+}
+
+/// A range scan under range partitioning opens iterators only on the
+/// shards its `[start, end)` intersects: the others count no scan.
+#[test]
+fn range_scan_touches_only_intersecting_shards() {
+    let db = Db::builder()
+        .shards(3)
+        .partitioning(range_3())
+        .options(Options::small_for_benchmarks())
+        .open()
+        .unwrap();
+    for key in [&b"a"[..], b"b", b"m", b"z"] {
+        db.put(key, b"v").unwrap();
+    }
+    let before: Vec<u64> = (0..3).map(|s| db.shard_metrics(s).db.scans).collect();
+    assert_eq!(db.scan(b"a", Some(b"c")).unwrap().count(), 2);
+    assert_eq!(db.shard_metrics(0).db.scans, before[0] + 1);
+    for (s, &scans) in before.iter().enumerate().skip(1) {
+        assert_eq!(
+            db.shard_metrics(s).db.scans,
+            scans,
+            "shard {s} does not intersect [a, c) and must not be scanned"
+        );
+    }
+    // A range across a split point still merges in order.
+    let keys: Vec<_> = db
+        .scan(b"b", Some(b"zz"))
+        .unwrap()
+        .map(|r| r.unwrap().0.as_bytes().to_vec())
+        .collect();
+    assert_eq!(keys, [b"b".to_vec(), b"m".to_vec(), b"z".to_vec()]);
+}
+
+/// One key per shard of `db`, found by watching which shard's put
+/// counter a probe write moves.
+fn one_key_per_shard(db: &Db) -> Vec<Vec<u8>> {
+    let mut keys = vec![None; db.num_shards()];
+    for i in 0.. {
+        let key = format!("cut-{i}").into_bytes();
+        let before = shard_puts(db);
+        db.put(&key, b"probe").unwrap();
+        let owner = (0..db.num_shards())
+            .find(|&s| shard_puts(db)[s] > before[s])
+            .unwrap();
+        keys[owner].get_or_insert(key);
+        if keys.iter().all(Option::is_some) {
+            return keys.into_iter().flatten().collect();
+        }
+    }
+    unreachable!()
+}
+
+/// A snapshot is a consistent cut across shards: while one thread commits
+/// batches that write `k_s = j` on every shard `s`, every snapshot's point
+/// reads and its merged scan see one and the same `j` for all keys.
+#[test]
+fn snapshots_cut_multi_shard_batches_whole() {
+    const BATCHES: u32 = 300;
+    let db = Arc::new(Db::builder().shards(3).options(walled()).open().unwrap());
+    let keys = Arc::new(one_key_per_shard(&db));
+    let write_all = |db: &Db, j: u32| {
+        let mut batch = WriteBatch::new();
+        for key in keys.iter() {
+            batch.put(key, format!("{j:04}").as_bytes());
+        }
+        db.write(batch).unwrap();
+    };
+    write_all(&db, 0);
+    let done = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (db, keys, done) = (Arc::clone(&db), Arc::clone(&keys), Arc::clone(&done));
+        thread::spawn(move || {
+            let mut cuts = 0u32;
+            let mut last = 0u32;
+            while !done.load(Ordering::Acquire) || cuts == 0 {
+                let snap = db.snapshot();
+                let read = |key: &[u8]| snap.get(key).unwrap().expect("written before the cut");
+                let first = read(&keys[0]);
+                for key in &keys[1..] {
+                    assert_eq!(read(key), first, "point reads of one snapshot disagree");
+                }
+                let scanned: Vec<_> = snap
+                    .scan(b"cut-", Some(b"cut."))
+                    .unwrap()
+                    .map(|r| r.unwrap())
+                    .filter(|(k, _)| keys.iter().any(|key| key[..] == *k.as_bytes()))
+                    .map(|(_, v)| v)
+                    .collect();
+                assert_eq!(scanned.len(), keys.len());
+                assert!(
+                    scanned.iter().all(|v| *v == first),
+                    "the merged scan of one snapshot disagrees with its gets"
+                );
+                let j: u32 = std::str::from_utf8(&first).unwrap().parse().unwrap();
+                assert!(j >= last, "snapshots went back in time: {j} < {last}");
+                last = j;
+                cuts += 1;
+            }
+            cuts
+        })
+    };
+    for j in 1..=BATCHES {
+        write_all(&db, j);
+    }
+    done.store(true, Ordering::Release);
+    let cuts = reader.join().unwrap();
+    assert!(cuts > 0);
+    let snap = db.snapshot();
+    for key in keys.iter() {
+        assert_eq!(
+            snap.get(key).unwrap().as_deref(),
+            Some(format!("{BATCHES:04}").as_bytes())
+        );
+    }
 }
 
 #[test]
 fn range_delete_range_touches_only_intersecting_shards() {
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(3)
         .partitioning(range_3())
         .options(Options::small_for_benchmarks())
@@ -138,7 +263,7 @@ fn range_delete_range_touches_only_intersecting_shards() {
 
 #[test]
 fn hash_delete_range_broadcasts_and_deletes() {
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(4)
         .options(Options::small_for_benchmarks())
         .open()
@@ -157,7 +282,7 @@ fn hash_delete_range_broadcasts_and_deletes() {
 /// while an explicit-sync write on shard 1 syncs only shard 1.
 #[test]
 fn no_wal_on_one_shard_does_not_sync_another() {
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(2)
         .partitioning(Partitioning::Range {
             split_points: vec![b"m".to_vec()],
@@ -202,7 +327,7 @@ fn multi_shard_batch_is_atomic_across_reopen() {
         .map(|_| Arc::new(MemBackend::new()) as Arc<dyn Backend>)
         .collect();
     let open = |backends: Vec<Arc<dyn Backend>>| {
-        ShardedDb::builder()
+        Db::builder()
             .shards(3)
             .partitioning(range_3())
             .options(walled())
@@ -222,7 +347,11 @@ fn multi_shard_batch_is_atomic_across_reopen() {
     drop(db);
 
     let db = open(backends).unwrap();
-    assert_eq!(db.records_discarded(), 0, "committed epoch must be kept");
+    assert_eq!(
+        db.recovery_summary().unwrap().records_discarded,
+        0,
+        "committed epoch must be kept"
+    );
     assert_eq!(db.get(b"before").unwrap().as_deref(), Some(&b"1"[..]));
     assert_eq!(db.get(b"alpha").unwrap().as_deref(), Some(&b"A"[..]));
     assert_eq!(db.get(b"mid").unwrap().as_deref(), Some(&b"M"[..]));
@@ -245,7 +374,7 @@ fn uncommitted_epoch_is_discarded_on_reopen() {
         .map(|f| Arc::clone(f) as Arc<dyn Backend>)
         .collect();
     let open = |backends: Vec<Arc<dyn Backend>>| {
-        ShardedDb::builder()
+        Db::builder()
             .shards(3)
             .partitioning(range_3())
             .options(walled())
@@ -275,7 +404,7 @@ fn uncommitted_epoch_is_discarded_on_reopen() {
     faults[0].fail_writes_permanently(false);
     let db = open(backends).unwrap();
     assert_eq!(
-        db.records_discarded(),
+        db.recovery_summary().unwrap().records_discarded,
         2,
         "both sub-batches of the uncommitted epoch must be discarded"
     );
@@ -286,9 +415,9 @@ fn uncommitted_epoch_is_discarded_on_reopen() {
 
 #[test]
 fn builder_validation_rejects_bad_configs() {
-    assert!(ShardedDb::builder().shards(0).open().is_err());
+    assert!(Db::builder().shards(0).open().is_err());
     // Wrong split count.
-    assert!(ShardedDb::builder()
+    assert!(Db::builder()
         .shards(3)
         .partitioning(Partitioning::Range {
             split_points: vec![b"h".to_vec()],
@@ -296,7 +425,7 @@ fn builder_validation_rejects_bad_configs() {
         .open()
         .is_err());
     // Non-ascending splits.
-    assert!(ShardedDb::builder()
+    assert!(Db::builder()
         .shards(3)
         .partitioning(Partitioning::Range {
             split_points: vec![b"t".to_vec(), b"h".to_vec()],
@@ -304,7 +433,7 @@ fn builder_validation_rejects_bad_configs() {
         .open()
         .is_err());
     // Backend count mismatch.
-    assert!(ShardedDb::builder()
+    assert!(Db::builder()
         .shards(2)
         .backends(vec![Arc::new(MemBackend::new()) as Arc<dyn Backend>])
         .open()
@@ -316,7 +445,7 @@ fn reopen_rejects_changed_shard_config() {
     let backends: Vec<Arc<dyn Backend>> = (0..2)
         .map(|_| Arc::new(MemBackend::new()) as Arc<dyn Backend>)
         .collect();
-    let db = ShardedDb::builder()
+    let db = Db::builder()
         .shards(2)
         .options(walled())
         .backends(backends.clone())
@@ -327,7 +456,7 @@ fn reopen_rejects_changed_shard_config() {
     db.put(b"k", b"v").unwrap();
     drop(db);
     // Same backends, different partitioning: refused.
-    let err = ShardedDb::builder()
+    let err = Db::builder()
         .shards(2)
         .partitioning(Partitioning::Range {
             split_points: vec![b"m".to_vec()],
@@ -345,7 +474,7 @@ fn reopen_rejects_changed_shard_config() {
 
 #[test]
 fn sharded_builder_default_is_one_shard() {
-    let db = ShardedDbBuilder::default()
+    let db = DbBuilder::default()
         .options(Options::small_for_benchmarks())
         .open()
         .unwrap();
@@ -356,4 +485,40 @@ fn sharded_builder_default_is_one_shard() {
     batch.put(b"a", b"1").put(b"b", b"2");
     db.write(batch).unwrap();
     assert_eq!(db.get(b"a").unwrap().as_deref(), Some(&b"1"[..]));
+}
+
+/// One block cache serves every shard, while each shard's backend hands
+/// out file ids on its own: a block cached for one shard must never
+/// answer a read on another.
+#[test]
+fn shards_share_one_cache_without_mixing_blocks() {
+    let db = Db::builder()
+        .shards(2)
+        .options(Options {
+            write_buffer_bytes: 16 << 10,
+            table_target_bytes: 16 << 10,
+            ..Options::default()
+        })
+        .cache_config(CacheConfig {
+            capacity_bytes: 1 << 20,
+            ..CacheConfig::default()
+        })
+        .open()
+        .unwrap();
+    let kv = |i: u32| (format!("key-{i:05}"), format!("value-{i:05}"));
+    for i in 0..2_000 {
+        let (k, v) = kv(i);
+        db.put(k.as_bytes(), v.as_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    for _pass in 0..2 {
+        for i in 0..2_000 {
+            let (k, v) = kv(i);
+            assert_eq!(db.get(k.as_bytes()).unwrap().as_deref(), Some(v.as_bytes()));
+        }
+    }
+    assert!(
+        db.metrics().cache.unwrap().hits > 0,
+        "reads never hit the cache"
+    );
 }

@@ -1,4 +1,4 @@
-//! One write path: every mutating call, on `Db` and through `ShardedDb`,
+//! One write path: every mutating call, on a `Db` of one shard or of two,
 //! is one commit that obeys the same counter rule, the same validation
 //! rule and the same durability rule — plus `bulk_load`, which shares the
 //! table writer instead of the commit.
@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use lsm_core::{Db, Options, Partitioning, Result, ShardedDb, WriteBatch, WriteOptions};
+use lsm_core::{Db, Options, Partitioning, Result, WriteBatch, WriteOptions};
 use lsm_obs::EventKind;
 use lsm_storage::{Backend, FaultBackend, MemBackend};
 
@@ -21,114 +21,49 @@ fn opts() -> Options {
     }
 }
 
-/// Either database kind behind the calls the forms make. The sharded one
-/// splits at `zz`, so every key the forms use lives on shard 0 and a call
-/// is one commit there (`update` has no router form: it goes to the owning
-/// shard's handle).
-enum Target {
-    Single(Db),
-    Sharded(ShardedDb),
-}
-
-fn open(backends: [Arc<dyn Backend>; 2], sharded: bool, recover: bool) -> Target {
-    if sharded {
-        let db = ShardedDb::builder()
+/// Opens the database the forms run on: one shard, or two shards split at
+/// `zz`, so every key the forms use lives on shard 0 and a call is one
+/// commit there. Both go through the same `Db` methods, `update` included.
+fn open(backends: [Arc<dyn Backend>; 2], sharded: bool, recover: bool) -> Db {
+    let builder = Db::builder()
+        .options(opts())
+        .persist_manifest(true)
+        .recover(recover);
+    let builder = if sharded {
+        builder
             .shards(2)
             .partitioning(Partitioning::Range {
                 split_points: vec![b"zz".to_vec()],
             })
             .backends(backends.to_vec())
-            .options(opts())
-            .persist_manifest(true)
-            .recover(recover)
-            .open()
-            .unwrap();
-        Target::Sharded(db)
     } else {
         let [backend, _] = backends;
-        let db = Db::builder()
-            .backend(backend)
-            .options(opts())
-            .persist_manifest(true)
-            .recover(recover)
-            .open()
-            .unwrap();
-        Target::Single(db)
-    }
+        builder.shards(1).backend(backend)
+    };
+    builder.open().unwrap()
 }
 
-impl Target {
-    fn put_opt(&self, k: &[u8], v: &[u8], w: &WriteOptions) -> Result<()> {
-        match self {
-            Target::Single(db) => db.put_opt(k, v, w),
-            Target::Sharded(db) => db.put_opt(k, v, w),
-        }
-    }
-    fn put(&self, k: &[u8], v: &[u8]) -> Result<()> {
-        match self {
-            Target::Single(db) => db.put(k, v),
-            Target::Sharded(db) => db.put(k, v),
-        }
-    }
-    fn delete(&self, k: &[u8]) -> Result<()> {
-        match self {
-            Target::Single(db) => db.delete(k),
-            Target::Sharded(db) => db.delete(k),
-        }
-    }
-    fn single_delete(&self, k: &[u8]) -> Result<()> {
-        match self {
-            Target::Single(db) => db.single_delete(k),
-            Target::Sharded(db) => db.single_delete(k),
-        }
-    }
-    fn delete_range(&self, start: &[u8], end: &[u8]) -> Result<()> {
-        match self {
-            Target::Single(db) => db.delete_range(start, end),
-            Target::Sharded(db) => db.delete_range(start, end),
-        }
-    }
-    fn write(&self, batch: WriteBatch) -> Result<()> {
-        match self {
-            Target::Single(db) => db.write(batch),
-            Target::Sharded(db) => db.write(batch),
-        }
-    }
-    fn update(&self, k: &[u8], f: impl FnOnce(Option<&[u8]>) -> Option<Vec<u8>>) -> Result<()> {
-        match self {
-            Target::Single(db) => db.update(k, f),
-            Target::Sharded(db) => db.shard(db.shard_of(k)).update(k, f),
-        }
-    }
-    fn get(&self, k: &[u8]) -> Option<Vec<u8>> {
-        match self {
-            Target::Single(db) => db.get(k),
-            Target::Sharded(db) => db.get(k),
-        }
-        .unwrap()
-        .map(|v| v.to_vec())
-    }
-    /// `(puts, deletes, user_bytes, wal_appends, group_commits)`.
-    fn counters(&self) -> [u64; 5] {
-        let m = match self {
-            Target::Single(db) => db.metrics().db,
-            Target::Sharded(db) => db.metrics().db,
-        };
-        [
-            m.puts,
-            m.deletes,
-            m.user_bytes,
-            m.wal_appends,
-            m.group_commits,
-        ]
-    }
+fn get(db: &Db, k: &[u8]) -> Option<Vec<u8>> {
+    db.get(k).unwrap().map(|v| v.to_vec())
+}
+
+/// `(puts, deletes, user_bytes, wal_appends, group_commits)`.
+fn counters(db: &Db) -> [u64; 5] {
+    let m = db.metrics().db;
+    [
+        m.puts,
+        m.deletes,
+        m.user_bytes,
+        m.wal_appends,
+        m.group_commits,
+    ]
 }
 
 /// One way to mutate the database, with what it must count and leave
 /// behind. Every form runs after `put(old, 1)`.
 struct Form {
     name: &'static str,
-    run: fn(&Target) -> Result<()>,
+    run: fn(&Db) -> Result<()>,
     puts: u64,
     deletes: u64,
     user_bytes: u64,
@@ -282,9 +217,9 @@ fn every_form_counts_by_one_rule() {
             let label = format!("{} (sharded: {sharded})", form.name);
             let target = open(mem_backends(), sharded, false);
             target.put(b"old", b"1").unwrap();
-            let before = target.counters();
+            let before = counters(&target);
             (form.run)(&target).unwrap();
-            let after = target.counters();
+            let after = counters(&target);
             let delta: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
             let appends = if form.logged { form.commits } else { 0 };
             assert_eq!(
@@ -299,7 +234,7 @@ fn every_form_counts_by_one_rule() {
                 "{label}: puts, deletes, user_bytes, wal_appends, group_commits"
             );
             for (key, value) in form.after {
-                assert_eq!(target.get(key).as_deref(), *value, "{label}");
+                assert_eq!(get(&target, key).as_deref(), *value, "{label}");
             }
         }
     }
@@ -307,7 +242,7 @@ fn every_form_counts_by_one_rule() {
 
 #[test]
 fn an_inverted_range_is_turned_away_at_every_door() {
-    let inverted = |t: &Target| {
+    let inverted = |t: &Db| {
         let mut batch = WriteBatch::new();
         batch.put(b"k", b"v").delete_range(b"b", b"a");
         let mut empty = WriteBatch::new();
@@ -316,7 +251,7 @@ fn an_inverted_range_is_turned_away_at_every_door() {
     };
     for sharded in [false, true] {
         let target = open(mem_backends(), sharded, false);
-        let before = target.counters();
+        let before = counters(&target);
         for result in inverted(&target) {
             let err = result.expect_err("start >= end must be rejected");
             assert!(
@@ -324,8 +259,8 @@ fn an_inverted_range_is_turned_away_at_every_door() {
                 "sharded {sharded}: {err}"
             );
         }
-        assert_eq!(target.counters(), before, "nothing counted or committed");
-        assert_eq!(target.get(b"k"), None, "nothing applied");
+        assert_eq!(counters(&target), before, "nothing counted or committed");
+        assert_eq!(get(&target, b"k"), None, "nothing applied");
     }
 }
 
@@ -351,7 +286,7 @@ fn every_acknowledged_form_survives_a_power_cut() {
                 } else {
                     None // never logged: lost with the memtable
                 };
-                assert_eq!(reopened.get(key).as_deref(), expected, "{label}");
+                assert_eq!(get(&reopened, key).as_deref(), expected, "{label}");
             }
         }
     }

@@ -50,7 +50,9 @@
 
 use std::collections::HashMap;
 
-use crate::lockgraph::{crate_of, for_each_fn, is_engine_file, receiver_self_root, CALL_KEYWORDS};
+use crate::lockgraph::{
+    crate_of, for_each_fn, is_engine_file, receiver_self_root_indexed, CALL_KEYWORDS,
+};
 use crate::{test_regions, tokenize, Diagnostic, Rule, Token};
 
 /// Receiver idents whose `.append(..)`/`.sync()` calls are WAL writes.
@@ -669,11 +671,13 @@ fn walk_fn(
                 continue;
             }
 
-            // Ordinary `self`-rooted method call: propagation candidate.
+            // Ordinary `self`-rooted method call (through index groups
+            // too: `self.engines[i].commit_batch(..)`): propagation
+            // candidate.
             if open
                 && !m.is_empty()
                 && m.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                && receiver_self_root(toks, i).is_some()
+                && receiver_self_root_indexed(toks, i).is_some()
             {
                 out.items.push(Item::Call {
                     name: m.to_string(),

@@ -1395,6 +1395,30 @@ pub(crate) fn receiver_self_root(toks: &[Token], dot_idx: usize) -> Option<usize
     }
 }
 
+/// [`receiver_self_root`] that also sees through index groups: a call on
+/// `self.engines[i]` is a call on one of `self`'s own elements (how a
+/// database handle reaches the engine a key routes to). Used by L7 only.
+pub(crate) fn receiver_self_root_indexed(toks: &[Token], dot_idx: usize) -> Option<usize> {
+    let mut j = dot_idx.checked_sub(1)?;
+    loop {
+        while toks[j].text == "]" {
+            j = match_back(toks, j, "[", "]")?.checked_sub(1)?;
+        }
+        let t = toks[j].text.as_str();
+        if t == "self" {
+            return Some(j);
+        }
+        let is_ident = !t.is_empty() && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+        if !is_ident {
+            return None;
+        }
+        match j.checked_sub(1) {
+            Some(p) if toks[p].text == "." => j = p.checked_sub(1)?,
+            _ => return None,
+        }
+    }
+}
+
 /// Finds the index of the `close` token matching the `open` at `open_idx`.
 fn match_forward(toks: &[Token], open_idx: usize, open: &str, close: &str) -> Option<usize> {
     let mut depth = 0i64;

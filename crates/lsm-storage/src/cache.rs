@@ -21,9 +21,14 @@
 //! so the hit path takes one of `2^bits` leaf mutexes instead of a global
 //! lock; hits return a refcount-bumped [`Bytes`] clone of the cached block,
 //! never a copy.
+//!
+//! Several stores whose backends hand out the same [`FileId`]s (the shards
+//! of one database) share one cache through [`BlockCache::namespaced`]
+//! handles: one capacity, one set of counters, keys kept apart.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use lsm_sync::{ranks, OrderedMutex};
@@ -139,8 +144,11 @@ impl CacheStats {
 
 const NIL: usize = usize::MAX;
 
+/// What a shard stores a block under: the handle's namespace plus the key.
+type NsKey = (u64, BlockKey);
+
 struct Node {
-    key: BlockKey,
+    key: NsKey,
     value: Bytes,
     prev: usize,
     next: usize,
@@ -151,7 +159,7 @@ struct Node {
 /// indexed by a hash map. Pinned nodes sit in the map and slab but are
 /// never linked into the LRU list, so eviction cannot reach them.
 struct Shard {
-    map: HashMap<BlockKey, usize>,
+    map: HashMap<NsKey, usize>,
     slab: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -221,7 +229,7 @@ impl Shard {
         value
     }
 
-    fn insert_node(&mut self, key: BlockKey, value: Bytes, pinned: bool) {
+    fn insert_node(&mut self, key: NsKey, value: Bytes, pinned: bool) {
         self.bytes += value.len();
         if pinned {
             self.pinned_bytes += value.len();
@@ -252,6 +260,14 @@ impl Shard {
 /// A zero-capacity cache is valid and caches nothing (every lookup misses),
 /// which is how experiments express "no cache".
 pub struct BlockCache {
+    core: Arc<CacheCore>,
+    /// Keeps this handle's blocks apart from other namespaces' blocks of
+    /// the same `(file, offset)`.
+    ns: u64,
+}
+
+/// The state every [`BlockCache::namespaced`] handle of one cache shares.
+struct CacheCore {
     shards: Vec<OrderedMutex<Shard>>,
     capacity_per_shard: usize,
     cfg: CacheConfig,
@@ -269,7 +285,7 @@ impl BlockCache {
     /// (usually reached via `DbBuilder::cache_config`).
     pub fn with_config(cfg: CacheConfig) -> Self {
         let shard_count = 1usize << cfg.shard_bits.min(10);
-        BlockCache {
+        let core = CacheCore {
             shards: (0..shard_count)
                 .map(|_| OrderedMutex::new(ranks::CACHE_SHARD, Shard::new()))
                 .collect(),
@@ -282,28 +298,42 @@ impl BlockCache {
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
+        };
+        BlockCache {
+            core: Arc::new(core),
+            ns: 0,
+        }
+    }
+
+    /// A handle onto the same cache (capacity, blocks, counters) whose keys
+    /// live in namespace `ns`: a block cached through it never answers a
+    /// lookup through a handle of another namespace. Lets stores whose
+    /// backends allocate overlapping [`FileId`]s share one cache.
+    pub fn namespaced(&self, ns: u64) -> BlockCache {
+        BlockCache {
+            core: Arc::clone(&self.core),
+            ns,
         }
     }
 
     /// The configuration this cache was built with.
     pub fn config(&self) -> &CacheConfig {
-        &self.cfg
+        &self.core.cfg
     }
 
     /// Number of shards (a power of two).
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.core.shards.len()
     }
 
     #[inline]
     fn shard_for(&self, key: &BlockKey) -> &OrderedMutex<Shard> {
-        // Cheap mix of file id and block offset; offsets are page-aligned so
-        // shift out the low zero bits before mixing.
-        let h = key
-            .file
+        // Cheap mix of namespace, file id and block offset; offsets are
+        // page-aligned so shift out the low zero bits before mixing.
+        let h = (key.file ^ self.ns.rotate_right(17))
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((key.offset >> 12).wrapping_mul(0xff51_afd7_ed55_8ccd));
-        &self.shards[(h as usize) & (self.shards.len() - 1)]
+        &self.core.shards[(h as usize) & (self.core.shards.len() - 1)]
     }
 
     /// Looks up a data block, promoting it to most-recently-used on hit.
@@ -315,26 +345,26 @@ impl BlockCache {
     /// [`CacheStats`]. The returned [`Bytes`] aliases the cached allocation
     /// (refcount bump, no copy).
     pub fn get_kind(&self, key: &BlockKey, kind: BlockKind) -> Option<Bytes> {
-        if self.capacity_per_shard == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+        if self.core.capacity_per_shard == 0 {
+            self.core.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let mut shard = self.shard_for(key).lock();
-        if let Some(&idx) = shard.map.get(key) {
+        if let Some(&idx) = shard.map.get(&(self.ns, *key)) {
             shard.touch(idx);
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.core.hits.fetch_add(1, Ordering::Relaxed);
             match kind {
                 BlockKind::Data => {}
                 BlockKind::Index => {
-                    self.index_hits.fetch_add(1, Ordering::Relaxed);
+                    self.core.index_hits.fetch_add(1, Ordering::Relaxed);
                 }
                 BlockKind::Filter => {
-                    self.filter_hits.fetch_add(1, Ordering::Relaxed);
+                    self.core.filter_hits.fetch_add(1, Ordering::Relaxed);
                 }
             }
             Some(shard.slab[idx].value.clone())
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.core.misses.fetch_add(1, Ordering::Relaxed);
             None
         }
     }
@@ -350,13 +380,14 @@ impl BlockCache {
     /// [`Self::invalidate_file`]. Inserting an existing unpinned key with
     /// `pinned = true` upgrades it in place.
     pub fn insert_kind(&self, key: BlockKey, value: Bytes, _kind: BlockKind, pinned: bool) {
-        if self.capacity_per_shard == 0 {
+        if self.core.capacity_per_shard == 0 {
             return;
         }
-        if !pinned && value.len() > self.capacity_per_shard {
+        if !pinned && value.len() > self.core.capacity_per_shard {
             return;
         }
         let mut shard = self.shard_for(&key).lock();
+        let key = (self.ns, key);
         if let Some(&idx) = shard.map.get(&key) {
             // Immutable files: same key always means same bytes, so just
             // refresh recency — or upgrade to pinned when requested.
@@ -370,13 +401,13 @@ impl BlockCache {
             }
             return;
         }
-        while shard.bytes + value.len() > self.capacity_per_shard && shard.tail != NIL {
+        while shard.bytes + value.len() > self.core.capacity_per_shard && shard.tail != NIL {
             let tail = shard.tail;
             shard.remove_node(tail);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.core.evictions.fetch_add(1, Ordering::Relaxed);
         }
         shard.insert_node(key, value, pinned);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
+        self.core.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Inserts without counting as an insertion-on-miss: used by prefetchers
@@ -390,12 +421,12 @@ impl BlockCache {
     /// compaction deletes the file; returns how many blocks were dropped.
     pub fn invalidate_file(&self, file: FileId) -> usize {
         let mut dropped = 0;
-        for shard in &self.shards {
+        for shard in &self.core.shards {
             let mut shard = shard.lock();
             let victims: Vec<usize> = shard
                 .map
                 .iter()
-                .filter(|(k, _)| k.file == file)
+                .filter(|((ns, k), _)| *ns == self.ns && k.file == file)
                 .map(|(_, &idx)| idx)
                 .collect();
             for idx in victims {
@@ -403,36 +434,37 @@ impl BlockCache {
                 dropped += 1;
             }
         }
-        self.invalidations
+        self.core
+            .invalidations
             .fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
     }
 
     /// Total bytes currently cached (pinned entries included).
     pub fn used_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().bytes).sum()
+        self.core.shards.iter().map(|s| s.lock().bytes).sum()
     }
 
     /// Bytes held by pinned (never-evicted) entries.
     pub fn pinned_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().pinned_bytes).sum()
+        self.core.shards.iter().map(|s| s.lock().pinned_bytes).sum()
     }
 
     /// Number of cached blocks.
     pub fn block_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.core.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     /// Copies the statistics counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            index_hits: self.index_hits.load(Ordering::Relaxed),
-            filter_hits: self.filter_hits.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
+            hits: self.core.hits.load(Ordering::Relaxed),
+            misses: self.core.misses.load(Ordering::Relaxed),
+            index_hits: self.core.index_hits.load(Ordering::Relaxed),
+            filter_hits: self.core.filter_hits.load(Ordering::Relaxed),
+            insertions: self.core.insertions.load(Ordering::Relaxed),
+            evictions: self.core.evictions.load(Ordering::Relaxed),
+            invalidations: self.core.invalidations.load(Ordering::Relaxed),
         }
     }
 }
@@ -457,6 +489,21 @@ mod tests {
 
     fn block(n: usize) -> Bytes {
         Bytes::from(vec![0xabu8; n])
+    }
+
+    #[test]
+    fn namespaces_share_capacity_and_counters_but_not_keys() {
+        let a = cache(1 << 20);
+        let b = a.namespaced(1);
+        a.insert(key(7, 0), block(100));
+        assert!(b.get(&key(7, 0)).is_none(), "another namespace's block");
+        b.insert(key(7, 0), block(200));
+        assert_eq!(a.get(&key(7, 0)).unwrap().len(), 100);
+        assert_eq!(b.get(&key(7, 0)).unwrap().len(), 200);
+        assert_eq!(a.used_bytes(), 300);
+        assert_eq!(b.stats().hits, 2);
+        assert_eq!(b.invalidate_file(7), 1);
+        assert_eq!(a.get(&key(7, 0)).unwrap().len(), 100);
     }
 
     #[test]

@@ -17,15 +17,16 @@
 
 use crate::LockRank;
 
-/// `ShardedDb` cross-shard epoch ticket. Outermost lock in the whole
-/// hierarchy: the router holds it across a multi-shard batch — coordinator
-/// epoch-log writes plus one full commit per involved shard — so it must
-/// rank below every per-engine lock those commits acquire.
+/// Cross-shard epoch ticket of a `Db` with several shards. Outermost lock
+/// in the whole hierarchy: the `Db` holds it across a multi-shard batch —
+/// coordinator epoch-log writes plus one full commit per involved shard —
+/// and across a snapshot's per-shard registration, so it must rank below
+/// every per-engine lock those acquire.
 pub const SHARDED_EPOCH: LockRank = LockRank::new("sharded.epoch_mx", 80);
 /// Metrics-exporter control mutex (interval/shutdown condvar). The export
 /// thread parks on it holding nothing else, and `stop()` signals it from
 /// outside the engine's lock stack, so it ranks above the per-engine
-/// hierarchy next to the sharding router.
+/// hierarchy next to the cross-shard epoch ticket.
 pub const DB_METRICS_EXPORT: LockRank = LockRank::new("db.metrics_export_mx", 90);
 /// `Db` single-writer queue ticket. Outermost engine lock: held across the
 /// whole write path (WAL append, memtable insert, freeze).

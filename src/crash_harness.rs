@@ -15,7 +15,7 @@
 //! [`crash_sweep`] walks crash points over the plain [`Db`];
 //! [`kv_crash_sweep`] does the same over the WiscKey-separated store,
 //! including garbage-collection crash points; [`sharded_crash_sweep`]
-//! power-cuts a [`ShardedDb`] mid-epoch — one shard's backend dies while a
+//! power-cuts a three-shard [`Db`] mid-epoch — one shard's backend dies while a
 //! cross-shard `WriteBatch` is partially sub-committed — and asserts the
 //! epoch protocol's all-or-none promise after reopen. All sweeps are
 //! deterministic: one seed fixes the fault schedule *and* the workload, so
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lsm_compaction::{CompactionConfig, DataLayout};
-use lsm_core::{Db, Observability, Options, Partitioning, ShardedDb, WriteBatch};
+use lsm_core::{Db, Observability, Options, Partitioning, WriteBatch};
 use lsm_obs::ObsHandle;
 use lsm_storage::{Backend, FaultBackend, MemBackend};
 use lsm_types::Value;
@@ -155,15 +155,19 @@ pub fn open_durable_db(backend: Arc<dyn Backend>, opts: &Options) -> lsm_types::
         .open()
 }
 
-/// [`open_durable_db`] sharing the sweep-wide observability handle, so one
-/// event trace spans every crash point and reopen in a sweep.
+/// [`open_durable_db`] over one backend per shard, sharing the sweep-wide
+/// observability handle, so one event trace spans every crash point and
+/// reopen in a sweep.
 fn open_swept_db(
-    backend: Arc<dyn Backend>,
+    backends: Vec<Arc<dyn Backend>>,
+    partitioning: &Partitioning,
     opts: &Options,
     obs: &ObsHandle,
 ) -> lsm_types::Result<Db> {
     Db::builder()
-        .backend(backend)
+        .shards(backends.len())
+        .backends(backends)
+        .partitioning(partitioning.clone())
         .options(opts.clone())
         .persist_manifest(true)
         .recover(true)
@@ -378,8 +382,13 @@ fn crash_sweep_obs(
     let fb = Arc::new(FaultBackend::with_seed(Arc::new(MemBackend::new()), seed));
     fb.set_obs(obs.clone());
     let ctx = format!("[{label} seed={seed} fault-free]");
-    let db =
-        open_swept_db(fb.clone(), &opts, obs).unwrap_or_else(|e| panic!("{ctx}: open failed: {e}"));
+    let db = open_swept_db(
+        as_dyn(std::slice::from_ref(&fb)),
+        &Partitioning::Hash,
+        &opts,
+        obs,
+    )
+    .unwrap_or_else(|e| panic!("{ctx}: open failed: {e}"));
     let outcome = run_db_workload(&db, &ops);
     assert!(
         outcome.in_flight.is_none(),
@@ -389,7 +398,7 @@ fn crash_sweep_obs(
     drop(db);
     fb.power_cut()
         .unwrap_or_else(|e| panic!("{ctx}: power cut failed: {e}"));
-    let db = open_swept_db(fb.inner(), &opts, obs)
+    let db = open_swept_db(vec![fb.inner()], &Partitioning::Hash, &opts, obs)
         .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
     let scanned = scan_all_db(&db, &ctx);
     verify_recovered(
@@ -413,7 +422,12 @@ fn crash_sweep_obs(
         fb.set_obs(obs.clone());
         fb.crash_at_write_op(crash_op);
 
-        let outcome = match open_swept_db(fb.clone(), &opts, obs) {
+        let outcome = match open_swept_db(
+            as_dyn(std::slice::from_ref(&fb)),
+            &Partitioning::Hash,
+            &opts,
+            obs,
+        ) {
             Err(_) => {
                 // The crash interrupted open itself: nothing was acked.
                 assert!(fb.crashed(), "{ctx}: open error without crash");
@@ -435,7 +449,7 @@ fn crash_sweep_obs(
 
         fb.power_cut()
             .unwrap_or_else(|e| panic!("{ctx}: power cut failed: {e}"));
-        let db = open_swept_db(fb.inner(), &opts, obs)
+        let db = open_swept_db(vec![fb.inner()], &Partitioning::Hash, &opts, obs)
             .unwrap_or_else(|e| panic!("{ctx}: reopen after crash failed: {e}"));
         if db.recovery_summary().is_some_and(|s| s.torn_segments > 0) {
             report.recoveries_with_torn_wal += 1;
@@ -592,7 +606,7 @@ fn kv_crash_sweep_obs(
 }
 
 // ---------------------------------------------------------------------------
-// Sharded sweep: power cuts mid-epoch across a ShardedDb.
+// Sharded sweep: power cuts mid-epoch across a Db with three shards.
 // ---------------------------------------------------------------------------
 
 /// Shards in the sharded sweep. Three is the smallest count where an epoch
@@ -702,27 +716,9 @@ fn inners(fbs: &[Arc<FaultBackend>]) -> Vec<Arc<dyn Backend>> {
     fbs.iter().map(|fb| fb.inner()).collect()
 }
 
-fn open_swept_sharded(
-    backends: Vec<Arc<dyn Backend>>,
-    partitioning: &Partitioning,
-    opts: &Options,
-    obs: &ObsHandle,
-) -> lsm_types::Result<ShardedDb> {
-    ShardedDb::builder()
-        .shards(backends.len())
-        .backends(backends)
-        .partitioning(partitioning.clone())
-        .options(opts.clone())
-        .persist_manifest(true)
-        .recover(true)
-        .clean_orphans(true)
-        .obs(Observability::Shared(obs.clone()))
-        .open()
-}
-
 /// Runs `ops` until the first error; the model records only acknowledged
 /// operations, and the erroring operation is reported as in-flight.
-fn run_sharded_workload(db: &ShardedDb, ops: &[ShardedOp]) -> ShardedRunOutcome {
+fn run_sharded_workload(db: &Db, ops: &[ShardedOp]) -> ShardedRunOutcome {
     let mut model = BTreeMap::new();
     for op in ops {
         let res = match op {
@@ -769,7 +765,7 @@ fn run_sharded_workload(db: &ShardedDb, ops: &[ShardedOp]) -> ShardedRunOutcome 
 /// in-flight cross-shard batch must be **all-or-none** — after recovery
 /// either every key carries the batch value or none does, even though its
 /// sub-commits hardened in different shards' WALs before the cut.
-fn verify_recovered_sharded(db: &ShardedDb, outcome: &ShardedRunOutcome, ctx: &str) {
+fn verify_recovered_sharded(db: &Db, outcome: &ShardedRunOutcome, ctx: &str) {
     let get = |k: &[u8]| {
         db.get(k)
             .unwrap_or_else(|e| panic!("{ctx}: get failed: {e}"))
@@ -864,7 +860,7 @@ fn verify_recovered_sharded(db: &ShardedDb, outcome: &ShardedRunOutcome, ctx: &s
     }
 }
 
-/// Sweeps crash points over a three-shard [`ShardedDb`] under the given
+/// Sweeps crash points over a three-shard [`Db`] under the given
 /// partitioning.
 ///
 /// Phase 1 runs the workload fault-free to count each shard's storage
@@ -901,7 +897,7 @@ fn sharded_crash_sweep_obs(
     // Phase 1: fault-free reference run, then a clean power cut everywhere.
     let fbs = sharded_backends(seed, obs);
     let ctx = format!("[sharded {label} seed={seed} fault-free]");
-    let db = open_swept_sharded(as_dyn(&fbs), &partitioning, &opts, obs)
+    let db = open_swept_db(as_dyn(&fbs), &partitioning, &opts, obs)
         .unwrap_or_else(|e| panic!("{ctx}: open failed: {e}"));
     let outcome = run_sharded_workload(&db, &ops);
     assert!(
@@ -915,7 +911,7 @@ fn sharded_crash_sweep_obs(
         fb.power_cut()
             .unwrap_or_else(|e| panic!("{ctx}: power cut failed: {e}"));
     }
-    let db = open_swept_sharded(inners(&fbs), &partitioning, &opts, obs)
+    let db = open_swept_db(inners(&fbs), &partitioning, &opts, obs)
         .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
     verify_recovered_sharded(&db, &outcome, &ctx);
     drop(db);
@@ -936,7 +932,7 @@ fn sharded_crash_sweep_obs(
             let fbs = sharded_backends(seed, obs);
             fbs[victim].crash_at_write_op(crash_op);
 
-            let outcome = match open_swept_sharded(as_dyn(&fbs), &partitioning, &opts, obs) {
+            let outcome = match open_swept_db(as_dyn(&fbs), &partitioning, &opts, obs) {
                 Err(_) => {
                     // The crash interrupted open itself: nothing was acked.
                     assert!(fbs[victim].crashed(), "{ctx}: open error without crash");
@@ -960,13 +956,9 @@ fn sharded_crash_sweep_obs(
                 fb.power_cut()
                     .unwrap_or_else(|e| panic!("{ctx}: power cut failed: {e}"));
             }
-            let db = open_swept_sharded(inners(&fbs), &partitioning, &opts, obs)
+            let db = open_swept_db(inners(&fbs), &partitioning, &opts, obs)
                 .unwrap_or_else(|e| panic!("{ctx}: reopen after crash failed: {e}"));
-            if (0..db.num_shards()).any(|s| {
-                db.shard(s)
-                    .recovery_summary()
-                    .is_some_and(|r| r.torn_segments > 0)
-            }) {
+            if db.recovery_summary().is_some_and(|r| r.torn_segments > 0) {
                 report.recoveries_with_torn_wal += 1;
             }
             verify_recovered_sharded(&db, &outcome, &ctx);

@@ -69,6 +69,29 @@ fn durability_spec_is_current_and_the_commit_pipeline_is_ordered() {
         ["call:maybe_stall", "call:commit_group", "call:maybe_freeze"],
         "a read-modify-write commits through the one group-commit path"
     );
+    // One front door: every public mutation is a `write_opt`, which
+    // commits on the one shard a batch lands on or in the epoch window
+    // across several — both through the same per-engine commit.
+    for name in ["put_opt", "delete_opt", "single_delete", "delete_range"] {
+        assert_eq!(
+            effects_of(&durability, "lsm-core", name),
+            ["call:write_opt"],
+            "`{name}` must be one `write_opt`"
+        );
+    }
+    assert_eq!(
+        effects_of(&durability, "lsm-core", "write_opt"),
+        ["call:commit_batch", "call:write_epoch"]
+    );
+    assert_eq!(
+        effects_of(&durability, "lsm-core", "write_epoch"),
+        ["call:commit_batch"],
+        "a cross-shard batch commits each part through the same commit"
+    );
+    assert_eq!(
+        effects_of(&durability, "lsm-core", "commit_batch"),
+        ["call:commit_write"]
+    );
     // One log-then-apply: the live commit and recovery's re-log are the
     // only code in the engine that appends to a WAL.
     let mut appenders: Vec<&str> = durability

@@ -1,7 +1,7 @@
 //! Randomized multithreaded stress for the sharded router.
 //!
 //! Writers, a cross-shard batch writer, readers, and a merged-scan thread
-//! hammer a `ShardedDb` whose shards all run background maintenance, while
+//! hammer a `Db` with several shards, all running background maintenance, while
 //! debug builds assert the `lsm-sync` lock hierarchy on every acquisition —
 //! including the epoch-coordinator mutex that the cross-shard batches take
 //! *outside* every per-shard engine lock. Any acquisition that violates
@@ -11,9 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use lsm_lab::core::{
-    CompactionConfig, Observability, Options, Partitioning, ShardedDb, WriteBatch,
-};
+use lsm_lab::core::{CompactionConfig, Db, Observability, Options, Partitioning, WriteBatch};
 use lsm_lab::obs::ObsHandle;
 
 const SHARDS: usize = 3;
@@ -78,7 +76,7 @@ fn batch_value(j: u64, part: usize) -> Vec<u8> {
 fn sharded_stress_exercises_epoch_and_engine_locks_without_deadlock() {
     let obs = ObsHandle::recording();
     let db = Arc::new(
-        ShardedDb::builder()
+        Db::builder()
             .shards(SHARDS)
             .partitioning(Partitioning::Hash)
             .options(shard_stress_options())
