@@ -35,7 +35,7 @@ use crate::version::{Run, Version, VersionEdit};
 /// segment.
 pub(crate) struct MemHandle {
     pub(crate) id: u64,
-    pub(crate) table: Box<dyn MemTable>,
+    pub(crate) table: Arc<dyn MemTable>,
     pub(crate) rts: OrderedRwLock<Vec<(UserKey, UserKey, SeqNo)>>,
     pub(crate) wal: Option<FileId>,
 }
@@ -281,7 +281,7 @@ impl Engine {
         };
         let active = Arc::new(MemHandle {
             id: 0,
-            table: make_memtable(opts.memtable_kind),
+            table: Arc::from(make_memtable(opts.memtable_kind)),
             rts: OrderedRwLock::new(ranks::MEM_RTS, Vec::new()),
             wal: wal_id,
         });
@@ -444,18 +444,19 @@ impl Engine {
         // Surviving epoch-tagged entries are re-logged untagged: their
         // epoch committed, so they are ordinary durable writes from here on.
         if let Some(wal_id) = active.wal {
-            let entries = active.table.sorted_entries();
+            let mut payload = Vec::new();
+            let mut relogged = 0u64;
+            for e in Arc::clone(&active.table).cursor(b"", None) {
+                e.encode_into(&mut payload);
+                relogged += 1;
+            }
             inner.obs.emit(
                 EventKind::RecoveryPhase,
                 None,
                 recovery_phase::RELOG,
-                entries.len() as u64,
+                relogged,
             );
-            if !entries.is_empty() {
-                let mut payload = Vec::new();
-                for e in &entries {
-                    e.encode_into(&mut payload);
-                }
+            if !payload.is_empty() {
                 let writer = wal::WalWriter::open(inner.backend.as_ref(), wal_id);
                 writer.append(&payload)?;
                 if inner.opts.wal_sync {
@@ -1053,7 +1054,7 @@ impl Engine {
         mem.next_id += 1;
         let fresh = Arc::new(MemHandle {
             id,
-            table: make_memtable(self.opts.memtable_kind),
+            table: Arc::from(make_memtable(self.opts.memtable_kind)),
             rts: OrderedRwLock::new(ranks::MEM_RTS, Vec::new()),
             wal: wal_id,
         });
@@ -1233,15 +1234,15 @@ impl Engine {
             p.levels_touched += version.levels.iter().filter(|l| !l.is_empty()).count() as u32;
         });
         let mut rts: Vec<(UserKey, UserKey, SeqNo)> = Vec::new();
-        let mut mem_entries = Vec::with_capacity(mem_sources.len());
+        let mut mem_cursors = Vec::with_capacity(mem_sources.len());
         for h in &mem_sources {
             rts.extend(h.rt_list());
-            mem_entries.push(h.table.range_entries(start, end));
+            mem_cursors.push(Arc::clone(&h.table).cursor(start, end));
         }
         for run in version.runs_newest_first() {
             rts.extend(run.range_tombstones.iter().cloned());
         }
-        let merge = build_scan_merge(mem_entries, &version, start, end, ctx.opts);
+        let merge = build_scan_merge(mem_cursors, &version, start, end, ctx.opts);
         Ok(DbScanIter::single(VisibleIter::new(
             merge,
             snapshot,
@@ -1442,7 +1443,7 @@ impl Engine {
         // dropped by the first compaction; tombstones all survive. The
         // snapshot list is read after the memtable froze, so every seqno in
         // it is final and a later snapshot sees only its newest versions.
-        let mut entries = handle.table.sorted_entries().into_iter();
+        let mut entries = Arc::clone(&handle.table).cursor(b"", None);
         let snapshots: Vec<SeqNo> = self.snapshots.lock().keys().copied().collect();
         let version = self.current.lock().clone();
         let writer = OutputWriter {

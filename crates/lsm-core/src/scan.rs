@@ -2,7 +2,8 @@
 
 use std::sync::Arc;
 
-use lsm_sstable::{EntryIter, MergeIter, Table, TableIter, TableReadOpts, VecEntryIter};
+use lsm_memtable::MemCursor;
+use lsm_sstable::{EntryIter, MergeIter, Table, TableIter, TableReadOpts};
 use lsm_types::{EntryKind, InternalEntry, InternalKey, Result, SeqNo, UserKey, Value};
 
 use crate::version::Version;
@@ -68,19 +69,29 @@ impl EntryIter for RunIter {
     }
 }
 
+/// A memtable cursor as a merge source.
+struct MemIter(MemCursor);
+
+impl EntryIter for MemIter {
+    fn next_entry(&mut self) -> Result<Option<InternalEntry>> {
+        Ok(self.0.next())
+    }
+}
+
 /// Builds the merged source list for a scan over `version` plus memtable
-/// snapshots (`mem_sources`, newest first); every table iterator the merge
+/// cursors (`mem_sources`, newest first); every table iterator the merge
 /// opens reads under `ropts`.
 pub(crate) fn build_scan_merge(
-    mem_sources: Vec<Vec<InternalEntry>>,
+    mem_sources: Vec<MemCursor>,
     version: &Version,
     start: &[u8],
     end: Option<&[u8]>,
     ropts: TableReadOpts,
 ) -> MergeIter {
-    let mut sources: Vec<Box<dyn EntryIter>> = Vec::new();
-    for entries in mem_sources {
-        sources.push(Box::new(VecEntryIter::new(entries)));
+    let runs: usize = version.levels.iter().map(Vec::len).sum();
+    let mut sources: Vec<Box<dyn EntryIter>> = Vec::with_capacity(mem_sources.len() + runs);
+    for cursor in mem_sources {
+        sources.push(Box::new(MemIter(cursor)));
     }
     for run in version.runs_newest_first() {
         let tables = run.overlapping_tables(start, end);

@@ -233,6 +233,44 @@ fn scan_ranges_and_bounds() {
 }
 
 #[test]
+fn open_scan_keeps_its_snapshot_across_puts_freeze_and_flush() {
+    for kind in MemTableKind::ALL {
+        let opts = Options {
+            memtable_kind: kind,
+            ..Options::default()
+        };
+        let db = Db::builder().options(opts).open().unwrap();
+        let key = |i: u32| format!("k{i:04}").into_bytes();
+        for i in (0..1_000).step_by(2) {
+            db.put(&key(i), b"before").unwrap();
+        }
+        let want: Vec<_> = (0..1_000).step_by(2).map(key).collect();
+
+        let mut scan = db.scan(b"", None).unwrap();
+        let mut got = Vec::new();
+        for _ in 0..10 {
+            got.push(scan.next().unwrap().unwrap());
+        }
+        // Newer versions of every key, and new keys between and around
+        // the scan's position, all land in the memtable it is reading.
+        for i in 0..1_000 {
+            db.put(&key(i), b"after").unwrap();
+        }
+        db.flush().unwrap();
+        got.extend(scan.map(Result::unwrap));
+
+        let keys: Vec<_> = got.iter().map(|(k, _)| k.as_bytes().to_vec()).collect();
+        assert_eq!(keys, want, "{}", kind.name());
+        assert!(
+            got.iter().all(|(_, v)| v.as_ref() == b"before"),
+            "{}",
+            kind.name()
+        );
+        assert_eq!(db.get(&key(1)).unwrap().as_deref(), Some(&b"after"[..]));
+    }
+}
+
+#[test]
 fn snapshots_pin_history_across_compaction() {
     let db = Db::builder().options(small_opts()).open().unwrap();
     for i in 0..200u32 {

@@ -1,8 +1,10 @@
 //! The bytes flush and compaction write are pinned: a seeded flush and a
 //! seeded three-run compaction must produce table files whose length and
-//! whole-file CRC-32C equal values recorded before the write path was
-//! rebuilt around in-place encoding. A change to either constant is an
-//! on-disk format change.
+//! whole-file CRC-32C equal the recorded values. A change to either
+//! constant is an on-disk format change. The values are table format v2's
+//! (shared-prefix data blocks with restart points); v1, which stored every
+//! key whole, wrote 1 282 697 bytes for the flush and 265 839 + 265 754 +
+//! 265 784 + 122 626 for the compaction.
 
 // Test code: panicking on unexpected results is the assertion style.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -81,7 +83,7 @@ fn seeded_flush_writes_the_recorded_bytes() {
     db.flush().unwrap();
     assert_eq!(
         table_files(&db, &backend),
-        vec![(0, 1_282_697, 3_138_837_835)],
+        vec![(0, 1_187_776, 1_458_652_361)],
         "the flushed table's bytes changed"
     );
 }
@@ -143,10 +145,10 @@ fn seeded_three_run_compaction_writes_the_recorded_bytes() {
     assert_eq!(
         table_files(&db, &backend),
         vec![
-            (1, 265_839, 2_768_884_689),
-            (1, 265_754, 377_514_523),
-            (1, 265_784, 2_799_414_533),
-            (1, 122_626, 338_717_759),
+            (1, 266_000, 3_915_061_648),
+            (1, 265_935, 1_382_712_323),
+            (1, 266_130, 2_492_059_159),
+            (1, 46_821, 3_339_477_107),
         ],
         "the compaction's output bytes changed"
     );

@@ -35,7 +35,13 @@ pub use hash_skiplist::HashSkipListMemTable;
 pub use skiplist::{SkipList, SkipListMemTable};
 pub use vector::VectorMemTable;
 
+use std::sync::Arc;
+
 use lsm_types::{InternalEntry, SeqNo};
+
+/// An owning, forward memtable cursor in internal-key order (see
+/// [`MemTable::cursor`]).
+pub type MemCursor = Box<dyn Iterator<Item = InternalEntry> + Send>;
 
 /// The write-buffer data structure menu (RocksDB `memtable_factory`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -100,13 +106,26 @@ pub trait MemTable: Send + Sync {
         self.len() == 0
     }
 
-    /// All entries in internal-key order (user key asc, seqno desc): the
-    /// flush path and full scans.
+    /// All entries in internal-key order (user key asc, seqno desc), copied
+    /// out under the lock. The engine streams [`Self::cursor`] instead;
+    /// this and [`Self::range_entries`] serve `perf/`'s isolated probes and
+    /// the default cursor.
     fn sorted_entries(&self) -> Vec<InternalEntry>;
 
     /// Entries with user key in `[start, end)` (`None` = unbounded above),
-    /// in internal-key order.
+    /// in internal-key order, copied out under the lock.
     fn range_entries(&self, start: &[u8], end: Option<&[u8]>) -> Vec<InternalEntry>;
+
+    /// An owning cursor over the entries with user key in `[start, end)`
+    /// (`None` = unbounded above), in internal-key order: what scans, the
+    /// flush and recovery's re-log stream. It yields every entry present
+    /// when it opened; an entry inserted while it is open may or may not
+    /// appear, but the output stays strictly sorted. The default copies
+    /// [`Self::range_entries`] up front; [`SkipListMemTable`] walks its
+    /// list one locked step at a time instead.
+    fn cursor(self: Arc<Self>, start: &[u8], end: Option<&[u8]>) -> MemCursor {
+        Box::new(self.range_entries(start, end).into_iter())
+    }
 
     /// The implementation's display name.
     fn kind(&self) -> MemTableKind;
@@ -144,7 +163,7 @@ mod tests {
     }
 
     /// Contract test every implementation must pass.
-    fn memtable_contract(mt: &dyn MemTable) {
+    fn memtable_contract(mt: Arc<dyn MemTable>) {
         assert!(mt.is_empty());
         mt.insert(e(b"b", b"1", 1));
         mt.insert(e(b"a", b"2", 2));
@@ -194,14 +213,33 @@ mod tests {
         // unbounded range = everything from b
         let r = mt.range_entries(b"b", None);
         assert_eq!(r.len(), 3);
+
+        // the cursor yields exactly what the copying range read does
+        let bounds: [(&[u8], Option<&[u8]>); 6] = [
+            (b"", None),
+            (b"a", Some(b"c")),
+            (b"b", None),
+            (b"a", Some(b"a")),
+            (b"bb", Some(b"zz")),
+            (b"zz", None),
+        ];
+        for (start, end) in bounds {
+            let streamed: Vec<_> = Arc::clone(&mt).cursor(start, end).collect();
+            assert_eq!(
+                streamed,
+                mt.range_entries(start, end),
+                "{}: cursor({start:?}, {end:?})",
+                mt.kind().name()
+            );
+        }
     }
 
     #[test]
     fn all_kinds_satisfy_contract() {
         for kind in MemTableKind::ALL {
-            let mt = make_memtable(kind);
+            let mt: Arc<dyn MemTable> = Arc::from(make_memtable(kind));
             assert_eq!(mt.kind(), kind);
-            memtable_contract(mt.as_ref());
+            memtable_contract(mt);
         }
     }
 
@@ -215,7 +253,6 @@ mod tests {
 
     #[test]
     fn concurrent_writers_and_readers() {
-        use std::sync::Arc;
         for kind in MemTableKind::ALL {
             let mt: Arc<dyn MemTable> = Arc::from(make_memtable(kind));
             let mut handles = Vec::new();

@@ -7,10 +7,12 @@
 //! links are indices) so it needs no `unsafe`; the memtable wraps it in a
 //! reader-writer lock.
 
+use std::sync::Arc;
+
 use lsm_sync::{ranks, OrderedMutex, OrderedRwLock};
 use lsm_types::{InternalEntry, InternalKey, SeqNo};
 
-use crate::{MemTable, MemTableKind};
+use crate::{MemCursor, MemTable, MemTableKind};
 
 const MAX_HEIGHT: usize = 12;
 /// Branching factor 4: grow a level with probability 1/4, like LevelDB.
@@ -153,6 +155,20 @@ impl<K: Ord, V> SkipList<K, V> {
         (idx != NIL).then_some(idx)
     }
 
+    /// The position of the first entry with key `>= key`, for [`Self::at`].
+    /// Positions are node indices: nodes never move and links only grow,
+    /// so a position stays valid across later inserts.
+    fn position_of(&self, key: &K) -> u32 {
+        self.seek_index(key).unwrap_or(NIL)
+    }
+
+    /// The entry at `pos` and the position after it (`None` past the end).
+    fn at(&self, pos: u32) -> Option<(&K, &V, u32)> {
+        let node = self.nodes.get(pos as usize)?;
+        let (k, v) = node.entry.as_ref()?;
+        Some((k, v, node.next[0]))
+    }
+
     /// Iterates all entries in ascending key order.
     pub fn iter(&self) -> SkipListIter<'_, K, V> {
         SkipListIter {
@@ -265,8 +281,51 @@ impl MemTable for SkipListMemTable {
             .collect()
     }
 
+    fn cursor(self: Arc<Self>, start: &[u8], end: Option<&[u8]>) -> MemCursor {
+        let pos = self
+            .list
+            .read()
+            .position_of(&InternalKey::lookup(start, SeqNo::MAX));
+        Box::new(SkipListCursor {
+            table: self,
+            pos,
+            end: end.map(<[u8]>::to_vec),
+        })
+    }
+
     fn kind(&self) -> MemTableKind {
         MemTableKind::SkipList
+    }
+}
+
+/// [`SkipListMemTable`]'s cursor: a position in the list, re-read under the
+/// read lock one step at a time, so a scan never holds writers off for
+/// longer than one entry's copy. An entry inserted ahead of the cursor
+/// while it is open is met in order; one inserted behind it is not. Either
+/// way it is newer than any snapshot taken before the cursor opened.
+struct SkipListCursor {
+    table: Arc<SkipListMemTable>,
+    /// The next node to yield, `NIL` once exhausted.
+    pos: u32,
+    end: Option<Vec<u8>>,
+}
+
+impl Iterator for SkipListCursor {
+    type Item = InternalEntry;
+
+    fn next(&mut self) -> Option<InternalEntry> {
+        let list = self.table.list.read();
+        let (k, v, next) = list.at(self.pos)?;
+        if self
+            .end
+            .as_deref()
+            .is_some_and(|end| k.user_key.as_bytes() >= end)
+        {
+            self.pos = NIL;
+            return None;
+        }
+        self.pos = next;
+        Some(rebuild(k, v))
     }
 }
 
@@ -333,6 +392,51 @@ mod tests {
         let got: Vec<_> = l.iter().map(|(k, v)| (*k, *v)).collect();
         let want: Vec<_> = expect.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn cursor_stays_sorted_while_entries_are_inserted() {
+        let key = |i: u64| format!("k{i:05}").into_bytes();
+        let mt = Arc::new(SkipListMemTable::new());
+        for i in (0..2_000u64).step_by(2) {
+            mt.insert(InternalEntry::put(key(i), b"old".to_vec(), i + 1, 0));
+        }
+        let at_open = mt.range_entries(&key(100), Some(&key(1_900)));
+        let mut cursor = Arc::clone(&mt).cursor(&key(100), Some(&key(1_900)));
+        let mut seen = Vec::new();
+        // Interleave steps with inserts of odd keys (between and around
+        // the cursor) and newer versions of even keys.
+        for step in 0..4_000u64 {
+            if step % 3 == 0 {
+                let i = (step * 7919) % 2_000;
+                mt.insert(InternalEntry::put(
+                    key(i),
+                    b"new".to_vec(),
+                    10_000 + step,
+                    0,
+                ));
+            }
+            match cursor.next() {
+                Some(e) => seen.push(e),
+                None => break,
+            }
+        }
+        assert!(
+            seen.windows(2).all(|w| w[0].key < w[1].key),
+            "strictly sorted, no duplicates"
+        );
+        assert!(seen
+            .iter()
+            .all(|e| (&key(100)[..]..&key(1_900)[..]).contains(&e.user_key().as_bytes())));
+        let mut missing = at_open.iter().filter(|e| !seen.contains(e));
+        assert!(
+            missing.next().is_none(),
+            "every entry present at open is yielded"
+        );
+        assert!(
+            seen.len() > at_open.len(),
+            "entries inserted ahead of the cursor appear"
+        );
     }
 
     #[test]

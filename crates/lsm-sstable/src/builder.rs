@@ -1,13 +1,11 @@
 //! Writing tables: the flush and compaction output path.
 
-use std::ops::Range;
-
 use lsm_filters::{build_point_filter, PointFilterKind};
 use lsm_storage::{Backend, FileId};
-use lsm_types::encoding::{put_len_prefixed, put_varint, varint_len, Decoder};
+use lsm_types::encoding::{put_len_prefixed, put_varint, Decoder};
 use lsm_types::{EntryKind, Error, InternalEntry, InternalKey, KeyRange, Result, SeqNo, UserKey};
 
-use crate::block::seal_block;
+use crate::block::BlockEncoder;
 use crate::meta::{encode_footer, TableMeta};
 use crate::BLOCK_SIZE;
 
@@ -90,24 +88,29 @@ pub(crate) fn decode_index(data: &[u8]) -> Result<Vec<Fence>> {
 /// Builds one immutable table from entries supplied in ascending
 /// internal-key order.
 ///
-/// Entries are encoded straight into the file image, and everything `add`
-/// needs to remember about earlier entries — the previous key for the
-/// order check, the distinct user keys for the filters — is kept as byte
-/// ranges of that image. Only what outlives the build is copied out: one
-/// fence key per block, the table's smallest and largest key, and range
-/// tombstones. An entry handed to `add` is never retained, so it may
-/// borrow from an input block that is about to be dropped.
+/// Entries are encoded straight into the file image. Keys there are
+/// prefix-compressed, so what `add` needs to remember about earlier
+/// entries is kept beside the image: the previous key (for the order check
+/// and the next entry's shared prefix) and the distinct user keys for the
+/// filters, each in one growing buffer. Only what outlives the build is
+/// copied out per block or per table: one fence key per block, the table's
+/// smallest and largest key, and range tombstones. An entry handed to
+/// `add` is never retained, so it may borrow from an input block that is
+/// about to be dropped.
 pub struct TableBuilder {
     opts: TableBuilderOptions,
     /// The file image: sealed blocks, then the open block's entries.
     file: Vec<u8>,
     /// Where the open block starts in `file`.
     block_start: usize,
+    /// The open block's restart points and the previous user key.
+    block: BlockEncoder,
     fences: Vec<Fence>,
     /// First key of the open block (`None` while it is empty).
     pending_first: Option<InternalKey>,
-    /// The previous entry's internal key, its user key as a range of `file`.
-    last_key: Option<(Range<usize>, SeqNo, EntryKind)>,
+    /// The previous entry's seqno and kind (its user key is
+    /// `block.last_key()`); `None` before the first entry.
+    last: Option<(SeqNo, EntryKind)>,
     // statistics
     entry_count: u64,
     tombstone_count: u64,
@@ -118,12 +121,13 @@ pub struct TableBuilder {
     min_ts: u64,
     max_ts: u64,
     /// Each distinct user key once (consecutive versions share a filter
-    /// entry), as a range of `file`.
-    filter_keys: Vec<Range<usize>>,
+    /// entry), back to back; `filter_key_ends[i]` is where key `i` ends.
+    filter_keys: Vec<u8>,
+    filter_key_ends: Vec<usize>,
     /// `filter_marks[b]` = number of filter keys accumulated once block `b`
-    /// was sealed, so `finish` can slice `filter_keys` per partition. A key
-    /// whose versions span blocks is attributed to the block where it first
-    /// appeared; `Table::get_with` routes its filter probe to match.
+    /// was sealed, so `finish` can slice the filter keys per partition. A
+    /// key whose versions span blocks is attributed to the block where it
+    /// first appeared; `Table::get_with` routes its filter probe to match.
     filter_marks: Vec<usize>,
 }
 
@@ -141,9 +145,10 @@ impl TableBuilder {
             opts,
             file: Vec::with_capacity(file_bytes),
             block_start: 0,
+            block: BlockEncoder::default(),
             fences: Vec::new(),
             pending_first: None,
-            last_key: None,
+            last: None,
             entry_count: 0,
             tombstone_count: 0,
             range_tombstones: Vec::new(),
@@ -153,6 +158,7 @@ impl TableBuilder {
             min_ts: u64::MAX,
             max_ts: 0,
             filter_keys: Vec::new(),
+            filter_key_ends: Vec::new(),
             filter_marks: Vec::new(),
         }
     }
@@ -162,17 +168,17 @@ impl TableBuilder {
     pub fn add(&mut self, entry: &InternalEntry) -> Result<()> {
         let user_key = entry.user_key().as_bytes();
         let mut new_user_key = true;
-        if let Some((range, seqno, kind)) = &self.last_key {
-            let last_user_key = &self.file[range.clone()];
+        if let Some((seqno, kind)) = self.last {
+            let last_user_key = self.block.last_key();
             // `InternalKey`'s order: user key, then newest first.
             let by_user_key = last_user_key.cmp(user_key);
             let order = by_user_key
-                .then_with(|| entry.seqno().cmp(seqno))
-                .then_with(|| (entry.kind() as u8).cmp(&(*kind as u8)));
+                .then_with(|| entry.seqno().cmp(&seqno))
+                .then_with(|| (entry.kind() as u8).cmp(&(kind as u8)));
             if order.is_ge() {
                 return Err(Error::InvalidArgument(format!(
                     "entries out of order: {:?} then {:?}",
-                    InternalKey::new(last_user_key, *seqno, *kind),
+                    InternalKey::new(last_user_key, seqno, kind),
                     entry.key
                 )));
             }
@@ -182,9 +188,7 @@ impl TableBuilder {
         if self.pending_first.is_none() {
             self.pending_first = Some(InternalKey::new(user_key, entry.seqno(), entry.kind()));
         }
-        let key_start = self.file.len() + varint_len(user_key.len() as u64);
-        entry.encode_into(&mut self.file);
-        let key_range = key_start..key_start + user_key.len();
+        self.block.add(&mut self.file, self.block_start, entry);
         self.entry_count += 1;
         match entry.kind() {
             EntryKind::Delete | EntryKind::SingleDelete => self.tombstone_count += 1,
@@ -205,9 +209,10 @@ impl TableBuilder {
         self.min_ts = self.min_ts.min(entry.ts);
         self.max_ts = self.max_ts.max(entry.ts);
         if new_user_key {
-            self.filter_keys.push(key_range.clone());
+            self.filter_keys.extend_from_slice(user_key);
+            self.filter_key_ends.push(self.filter_keys.len());
         }
-        self.last_key = Some((key_range, entry.seqno(), entry.kind()));
+        self.last = Some((entry.seqno(), entry.kind()));
 
         if self.file.len() - self.block_start >= self.opts.block_size {
             self.seal_block();
@@ -220,10 +225,9 @@ impl TableBuilder {
         self.file.len() as u64
     }
 
-    /// The user key of the entry added last, read back from the file image.
+    /// The user key of the entry added last.
     pub fn last_user_key(&self) -> Option<&[u8]> {
-        let (range, _, _) = self.last_key.as_ref()?;
-        self.file.get(range.clone())
+        self.last.map(|_| self.block.last_key())
     }
 
     fn seal_block(&mut self) {
@@ -233,13 +237,13 @@ impl TableBuilder {
         let Some(first_key) = self.pending_first.take() else {
             return;
         };
-        seal_block(&mut self.file, self.block_start);
+        self.block.finish(&mut self.file, self.block_start);
         self.fences.push(Fence {
             first_key,
             offset: self.block_start as u64,
             len: (self.file.len() - self.block_start) as u64,
         });
-        self.filter_marks.push(self.filter_keys.len());
+        self.filter_marks.push(self.filter_key_ends.len());
         self.block_start = self.file.len();
     }
 
@@ -285,9 +289,11 @@ impl TableBuilder {
                 self.filter_marks[first_block - 1]
             };
             let key_end = self.filter_marks[last_block];
-            let key_refs: Vec<&[u8]> = self.filter_keys[key_start..key_end]
-                .iter()
-                .map(|range| &self.file[range.clone()])
+            let key_refs: Vec<&[u8]> = (key_start..key_end)
+                .map(|i| {
+                    let from = i.checked_sub(1).map_or(0, |p| self.filter_key_ends[p]);
+                    &self.filter_keys[from..self.filter_key_ends[i]]
+                })
                 .collect();
             let part_bytes =
                 build_point_filter(self.opts.filter_kind, &key_refs, self.opts.bits_per_key)

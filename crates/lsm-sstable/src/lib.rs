@@ -10,7 +10,9 @@
 //! ```
 //!
 //! * **Data blocks** (~4 KiB) hold encoded [`lsm_types::InternalEntry`]s in
-//!   internal-key order, each block CRC-protected.
+//!   internal-key order, each key stored as the suffix it does not share
+//!   with the previous one, with a restart point (a whole key) every 16
+//!   entries for binary search; each block is CRC-protected.
 //! * The **index block** holds one *fence pointer* per data block — the
 //!   block's first internal key plus its offset/length — kept in memory by
 //!   readers so a point lookup touches exactly one data block

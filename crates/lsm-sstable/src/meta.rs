@@ -4,7 +4,11 @@ use lsm_types::encoding::{put_len_prefixed, put_u32, put_u64, put_varint, Decode
 use lsm_types::{checksum, Error, KeyRange, Result, SeqNo, UserKey};
 
 /// Magic number identifying an `lsm-lab` table footer.
-pub const TABLE_MAGIC: u64 = 0x4c53_4d4c_4142_0001; // "LSMLAB" v1
+pub const TABLE_MAGIC: u64 = 0x4c53_4d4c_4142_0002; // "LSMLAB" v2
+
+/// The magic of the first table format, whose data blocks stored every
+/// key whole: recognised only to be refused.
+pub(crate) const TABLE_MAGIC_V1: u64 = 0x4c53_4d4c_4142_0001;
 
 /// Fixed footer: `meta_offset u64 | meta_len u32 | crc u32 | magic u64`.
 pub const FOOTER_LEN: usize = 24;
@@ -194,6 +198,13 @@ pub fn decode_footer(data: &[u8]) -> Result<(u64, u32)> {
     let meta_len = dec.u32()?;
     let crc = dec.u32()?;
     let magic = dec.u64()?;
+    if magic == TABLE_MAGIC_V1 {
+        return Err(Error::Corruption(
+            "table format v1 (whole-key data blocks) is not readable; \
+             this build reads format v2 only"
+                .into(),
+        ));
+    }
     if magic != TABLE_MAGIC {
         return Err(Error::Corruption("bad table magic".into()));
     }

@@ -31,6 +31,7 @@ use lsm_obs::ReadProbe;
 use lsm_storage::{Backend, BlockCache, BlockKey, BlockKind, FileId};
 use lsm_types::{Error, InternalEntry, InternalKey, Result, SeqNo};
 
+use crate::block::{BlockIter, Version};
 use crate::builder::{decode_index, Fence};
 use crate::iter::EntryIter;
 use crate::meta::{decode_footer, TableMeta, FOOTER_LEN};
@@ -376,15 +377,11 @@ impl Table {
 
     /// Iterates a fetched block, skipping re-verification for cache hits
     /// unless the read asked for end-to-end checksums.
-    fn block_iter(
-        block: Bytes,
-        from_cache: bool,
-        ropts: &TableReadOpts,
-    ) -> Result<crate::block::BlockIter> {
+    fn block_iter(block: Bytes, from_cache: bool, ropts: &TableReadOpts) -> Result<BlockIter> {
         if from_cache && !ropts.verify_checksums {
-            crate::block::BlockIter::new_trusted(block)
+            BlockIter::new_trusted(block)
         } else {
-            crate::block::BlockIter::new(block)
+            BlockIter::new(block)
         }
     }
 
@@ -484,10 +481,10 @@ impl Table {
         // falls past the chosen block's last entry.
         loop {
             let (block, from_cache) = self.read_block_fence(&fences[bi], ctx)?;
-            let mut it = Self::block_iter(block, from_cache, &ctx.opts)?;
-            it.seek(&probe)?;
-            if let Some(entry) = it.next().transpose()? {
-                return Ok((entry.user_key().as_bytes() == key).then_some(entry));
+            match Self::block_iter(block, from_cache, &ctx.opts)?.seek_version(&probe)? {
+                Version::Found(entry) => return Ok(Some(entry)),
+                Version::Absent => return Ok(None),
+                Version::PastEnd => {}
             }
             // Advance to the next block, following only while it can still
             // hold this user key.
@@ -560,7 +557,7 @@ pub struct TableIter {
     bi: usize,
     /// The current partition's fences, fetched lazily.
     fences: Option<Arc<Vec<Fence>>>,
-    current: Option<crate::block::BlockIter>,
+    current: Option<BlockIter>,
     /// Seek target applied to the first opened block.
     start: Option<InternalKey>,
     ctx: ReadCtx<'static>,
@@ -686,6 +683,21 @@ mod tests {
             let err = Table::open(backend.clone() as Arc<dyn Backend>, file, None).unwrap_err();
             assert!(matches!(err, Error::Corruption(_)), "{len} bytes: {err}");
         }
+    }
+
+    #[test]
+    fn format_v1_table_is_refused() {
+        let (backend, t) = build_table(100, None);
+        let len = backend.len(t.file_id()).unwrap();
+        let mut image = backend.read(t.file_id(), 0, len as usize).unwrap().to_vec();
+        let magic_at = image.len() - 8;
+        image[magic_at..].copy_from_slice(&crate::meta::TABLE_MAGIC_V1.to_le_bytes());
+        let v1 = backend.write_blob(&image).unwrap();
+        let err = Table::open(backend.clone() as Arc<dyn Backend>, v1, None).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corruption(msg) if msg.contains("v1")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -192,91 +192,20 @@ impl InternalEntry {
     /// Decodes one entry from the front of `dec` into buffers of its own
     /// (WAL replay: the log record is dropped once it has been applied).
     pub fn decode_from(dec: &mut Decoder<'_>) -> Result<Self> {
-        let e = EntryRef::decode_from(dec)?;
-        Ok(e.entry(
-            Bytes::copy_from_slice(e.user_key),
-            Bytes::copy_from_slice(e.value),
-        ))
-    }
-
-    /// Decodes the entry encoded at `buf[pos..end]` without copying it: the
-    /// key and the value are [`Bytes::slice`]s of `buf` and keep it alive.
-    /// Returns the entry and the offset just past it.
-    pub fn decode_shared(buf: &Bytes, pos: usize, end: usize) -> Result<(Self, usize)> {
-        let data = buf
-            .get(pos..end)
-            .ok_or_else(|| Error::Corruption("entry range outside its buffer".into()))?;
-        let mut dec = Decoder::new(data);
-        let e = EntryRef::decode_from(&mut dec)?;
-        // Both fields are subslices of `data`, the value its last bytes read.
-        let next = end - dec.remaining();
-        let key = pos + (e.user_key.as_ptr() as usize - data.as_ptr() as usize);
-        let entry = e.entry(
-            buf.slice(key..key + e.user_key.len()),
-            buf.slice(next - e.value.len()..next),
-        );
-        Ok((entry, next))
-    }
-}
-
-/// One encoded entry, parsed where it lies: the one parser of the wire
-/// format [`InternalEntry::encode_into`] writes. The key and the value
-/// borrow from the decoder's input.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct EntryRef<'a> {
-    /// The user key.
-    pub user_key: &'a [u8],
-    /// Sequence number.
-    pub seqno: SeqNo,
-    /// Entry kind.
-    pub kind: EntryKind,
-    /// Logical write-clock timestamp.
-    pub ts: u64,
-    /// The value.
-    pub value: &'a [u8],
-}
-
-impl<'a> EntryRef<'a> {
-    /// Parses one entry from the front of `dec`, consuming it.
-    #[inline]
-    pub fn decode_from(dec: &mut Decoder<'a>) -> Result<Self> {
-        let klen = dec.varint()? as usize;
-        let user_key = dec.bytes(klen)?;
+        let user_key = UserKey::copy_from(dec.len_prefixed()?);
         let seqno = dec.varint()?;
         let kind = EntryKind::from_u8(dec.u8()?)?;
         let ts = dec.varint()?;
-        let vlen = dec.varint()? as usize;
-        let value = dec.bytes(vlen)?;
-        Ok(EntryRef {
-            user_key,
-            seqno,
-            kind,
-            ts,
-            value,
-        })
-    }
-
-    /// Orders the entry's internal key against `probe`, exactly as
-    /// [`InternalKey`]'s `Ord` would.
-    #[inline]
-    pub fn cmp_key(&self, probe: &InternalKey) -> std::cmp::Ordering {
-        self.user_key
-            .cmp(probe.user_key.as_bytes())
-            .then_with(|| probe.seqno.cmp(&self.seqno))
-            .then_with(|| (probe.kind as u8).cmp(&(self.kind as u8)))
-    }
-
-    #[inline]
-    fn entry(&self, user_key: Bytes, value: Bytes) -> InternalEntry {
-        InternalEntry {
+        let value = Bytes::copy_from_slice(dec.len_prefixed()?);
+        Ok(InternalEntry {
             key: InternalKey {
-                user_key: UserKey(user_key),
-                seqno: self.seqno,
-                kind: self.kind,
+                user_key,
+                seqno,
+                kind,
             },
             value,
-            ts: self.ts,
-        }
+            ts,
+        })
     }
 }
 
@@ -338,47 +267,6 @@ mod tests {
         assert!(!EntryKind::Put.is_tombstone());
         assert!(EntryKind::Put.is_value());
         assert!(EntryKind::ValuePtr.is_value());
-    }
-
-    #[test]
-    fn decode_shared_slices_the_buffer_and_agrees_with_decode_from() {
-        let a = InternalEntry::put(b"key", Bytes::from_static(b"value"), 42, 7);
-        let b = InternalEntry::range_delete(b"m", b"q", 9, 8);
-        let mut raw = vec![0xEE; 3]; // entries need not start the buffer
-        a.encode_into(&mut raw);
-        b.encode_into(&mut raw);
-        let buf = Bytes::from(raw);
-        let (first, next) = InternalEntry::decode_shared(&buf, 3, buf.len()).unwrap();
-        let (second, end) = InternalEntry::decode_shared(&buf, next, buf.len()).unwrap();
-        assert_eq!((first.clone(), second), (a.clone(), b));
-        assert_eq!(end, buf.len());
-        assert_eq!(next, 3 + a.encoded_len());
-        // Zero-copy: the fields point into `buf`.
-        let base = buf.as_ptr() as usize;
-        let inside = |p: *const u8| (base..base + buf.len()).contains(&(p as usize));
-        assert!(inside(first.user_key().as_bytes().as_ptr()));
-        assert!(inside(first.value.as_ptr()));
-        // A range that is cut short or outside the buffer is corruption.
-        assert!(InternalEntry::decode_shared(&buf, 3, next - 1).is_err());
-        assert!(InternalEntry::decode_shared(&buf, 3, buf.len() + 1).is_err());
-    }
-
-    #[test]
-    fn entry_ref_orders_like_internal_key() {
-        let probe = InternalKey::lookup(b"k", 7);
-        for e in [
-            InternalEntry::put(b"k", b"v".to_vec(), 9, 0),
-            InternalEntry::put(b"k", b"v".to_vec(), 7, 0),
-            InternalEntry::delete(b"k", 7, 0),
-            InternalEntry::put(b"k", b"v".to_vec(), 5, 0),
-            InternalEntry::put(b"j", b"v".to_vec(), 1, 0),
-            InternalEntry::put(b"l", b"v".to_vec(), 99, 0),
-        ] {
-            let mut buf = Vec::new();
-            e.encode_into(&mut buf);
-            let parsed = EntryRef::decode_from(&mut Decoder::new(&buf)).unwrap();
-            assert_eq!(parsed.cmp_key(&probe), e.key.cmp(&probe));
-        }
     }
 
     #[test]

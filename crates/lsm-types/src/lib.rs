@@ -20,7 +20,7 @@ mod error;
 mod key;
 mod range;
 
-pub use entry::{EntryKind, EntryRef, InternalEntry};
+pub use entry::{EntryKind, InternalEntry};
 pub use error::{Error, Result};
 pub use key::{InternalKey, SeqNo, UserKey, Value, SEQNO_MAX};
 pub use range::KeyRange;

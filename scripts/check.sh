@@ -104,7 +104,8 @@ run_step "loom-lockfree" cargo test -q -p lsm-sync --features loom --test loom_l
 run_step "obs"      cargo test -q -p lsm-obs
 # Full-stack export pipeline: causal span nesting through real compactions,
 # the metrics exporter's JSONL delta round-trip, and the Prometheus
-# surfaces (Db + ShardedDb per-shard labels), plus the exposition goldens.
+# surfaces (a one-shard Db and a multi-shard Db with per-shard labels), plus
+# the exposition goldens.
 run_step "obs-export" cargo test -q -p lsm-core --test obs_export --test metrics_golden
 run_step "obs-overhead" cargo test -q --release --test obs_overhead -- --ignored
 # Read-path gate: pinned index/filter partitions must keep skewed point-get
