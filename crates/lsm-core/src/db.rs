@@ -1,12 +1,15 @@
 //! The public database handle. A [`Db`] owns `N >= 1` engines
-//! ([`crate::engine::Engine`]: write path, read path, maintenance,
-//! recovery) and routes every call by key; `N = 1` is the plain
-//! single-keyspace store, and [`crate::sharded`] holds what only `N > 1`
-//! needs (partitioning, the cross-shard epoch window).
+//! ([`crate::engine::Engine`]: write path, read path, maintenance jobs,
+//! recovery), routes every call by key, and runs one maintenance [`Pool`]
+//! for all of them; `N = 1` is the plain single-keyspace store, and
+//! [`crate::sharded`] holds what only `N > 1` needs (partitioning, the
+//! cross-shard epoch window).
 
+use std::cmp::Reverse;
 use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use lsm_obs::{recovery_phase, EventKind, HistKind, ObsHandle, Observability, OpKind, ReadProbe};
 use lsm_sstable::{ReadCtx, TableReadOpts};
@@ -14,10 +17,11 @@ use lsm_storage::{
     shard_dir, Backend, BlockCache, CacheConfig, CacheStats, FileId, FsBackend, MemBackend,
     ObservedBackend,
 };
-use lsm_sync::{ranks, OrderedMutex};
+use lsm_sync::{ranks, Condvar, OrderedMutex};
 use lsm_types::{EntryKind, Error, Result, SeqNo, UserKey, Value};
 
 use crate::engine::{BatchOp, Engine, MANIFEST_META};
+use crate::manifest::Manifest;
 use crate::metrics::MetricsSnapshot;
 use crate::options::Options;
 use crate::scan::VisibleIter;
@@ -30,16 +34,40 @@ pub use crate::engine::RecoverySummary;
 /// wrap in `Arc` to share across threads (all methods take `&self`).
 ///
 /// A `Db` opened with [`DbBuilder::shards`]`(n)` runs `n` engines, each
-/// with its own WAL, commit queue and maintenance threads, and routes
-/// every call by key (DESIGN.md, "Sharding"); the default is one.
+/// with its own WAL and commit queue, and routes every call by key
+/// (DESIGN.md, "Sharding"); the default is one. Their flushes and
+/// compactions share one pool of [`Options::background_threads`] workers.
 pub struct Db {
     pub(crate) inner: Arc<Shards>,
     workers: OrderedMutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
+/// The maintenance workers of one [`Db`], shared by every shard (each
+/// engine holds an `Arc`): `threads` workers (none in synchronous mode),
+/// the wake flag they park on, and the stop flag `Db::drop` raises. Which
+/// job a worker runs next is [`Shards::step`]'s choice.
+pub(crate) struct Pool {
+    /// Worker count, [`Options::background_threads`]; 0 runs maintenance
+    /// inline on the calling thread ([`Engine::kick`]).
+    pub(crate) threads: usize,
+    /// Set when maintenance work may exist on some shard.
+    wake_mx: OrderedMutex<bool>,
+    wake_cv: Condvar,
+    shutdown: AtomicBool,
+}
+
+impl Pool {
+    /// Wakes the workers: some shard may have work.
+    pub(crate) fn signal(&self) {
+        let mut flag = self.wake_mx.lock();
+        *flag = true;
+        self.wake_cv.notify_all();
+    }
+}
+
 /// The engines behind one [`Db`] and what routes between them. Shared
-/// (behind an `Arc`) with snapshots and the metrics exporter, which need
-/// the engines but not the worker threads.
+/// (behind an `Arc`) with snapshots, the metrics exporter and the pool's
+/// workers, which need the engines but not the worker registry.
 pub(crate) struct Shards {
     pub(crate) engines: Vec<Arc<Engine>>,
     pub(crate) partitioning: Partitioning,
@@ -322,7 +350,8 @@ impl DbBuilder {
     }
 
     /// Number of shards (default 1). Each shard is a full engine: its own
-    /// memtable stack, WAL, commit queue, and maintenance threads.
+    /// memtable stack, WAL, commit queue and compaction scheduler; the
+    /// shards share one pool of [`Options::background_threads`] workers.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = Some(n);
         self
@@ -482,29 +511,25 @@ impl DbBuilder {
             })
             .filter(|c| c.capacity_bytes > 0)
             .map(BlockCache::with_config);
+        let pool = Arc::new(Pool {
+            threads: self.opts.background_threads,
+            wake_mx: OrderedMutex::new(ranks::DB_WORK, false),
+            wake_cv: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+        });
         let opened = (|| -> Result<Vec<Arc<Engine>>> {
             let mut engines = Vec::with_capacity(n);
             for (i, (backend, manifest)) in backends.into_iter().zip(manifests).enumerate() {
+                let manifest = manifest.as_deref().map(Manifest::decode).transpose()?;
                 // Shards allocate file ids independently: one namespace
                 // each keeps their blocks apart in the one cache.
                 let cache = cache.as_ref().map(|c| Arc::new(c.namespaced(i as u64)));
-                let (opts, obs) = (self.opts.clone(), obs.clone());
-                let engine = match manifest {
-                    Some(bytes) => Engine::recover(
-                        backend,
-                        opts,
-                        cache,
-                        &bytes,
-                        persist,
-                        obs,
-                        filter.as_ref(),
-                    )?,
-                    None => {
-                        let engine = Engine::new(backend, opts, cache, persist, obs)?;
-                        engine.save_manifest()?;
-                        engine
-                    }
-                };
+                let (opts, obs, pool) = (self.opts.clone(), obs.clone(), Arc::clone(&pool));
+                let engine = Engine::new(backend, opts, cache, persist, obs, pool)?;
+                match manifest {
+                    Some(manifest) => engine.recover(manifest, filter.as_ref())?,
+                    None => engine.save_manifest()?,
+                }
                 if self.clean_orphans {
                     let removed = engine.clean_orphans(&[])?;
                     swept += removed as u64;
@@ -527,13 +552,27 @@ impl DbBuilder {
             Some(log) => log.reset(coord.as_ref(), n, &self.partitioning, persist)?,
             None => EpochLog::default(),
         };
-        Db::finish_open(Shards {
-            engines,
-            partitioning: self.partitioning,
-            coord,
-            epoch_mx: OrderedMutex::new(ranks::SHARDED_EPOCH, log),
-            persist_epochs: persist,
-        })
+        let mut db = Db {
+            inner: Arc::new(Shards {
+                engines,
+                partitioning: self.partitioning,
+                coord,
+                epoch_mx: OrderedMutex::new(ranks::SHARDED_EPOCH, log),
+                persist_epochs: persist,
+            }),
+            workers: OrderedMutex::new(ranks::DB_WORKERS, Vec::new()),
+        };
+        // A spawn failure drops the half-built `Db`, which stops and joins
+        // the workers already running.
+        for i in 0..self.opts.background_threads {
+            let shards = Arc::clone(&db.inner);
+            let worker = std::thread::Builder::new()
+                .name(format!("lsm-bg-{i}"))
+                .spawn(move || shards.work())
+                .map_err(Error::Io)?;
+            db.workers.get_mut().push(worker);
+        }
+        Ok(db)
     }
 }
 
@@ -541,25 +580,6 @@ impl Db {
     /// Starts building a database; see [`DbBuilder`].
     pub fn builder() -> DbBuilder {
         DbBuilder::default()
-    }
-
-    fn finish_open(shards: Shards) -> Result<Db> {
-        let mut workers = Vec::new();
-        for engine in &shards.engines {
-            for i in 0..engine.opts.background_threads {
-                let engine = Arc::clone(engine);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("lsm-bg-{i}"))
-                        .spawn(move || engine.worker_loop())
-                        .map_err(Error::Io)?,
-                );
-            }
-        }
-        Ok(Db {
-            inner: Arc::new(shards),
-            workers: OrderedMutex::new(ranks::DB_WORKERS, workers),
-        })
     }
 
     /// Shard 0's engine: what the whole-tree accessors describe.
@@ -738,13 +758,9 @@ impl Db {
     }
 
     /// Runs flushes and compactions until the tree satisfies every trigger
-    /// (synchronous mode) or until background workers have nothing queued,
-    /// on every shard.
+    /// on every shard (synchronous mode), or wakes the background workers.
     pub fn maintain(&self) -> Result<()> {
-        self.inner
-            .engines
-            .iter()
-            .try_for_each(|e| e.maintain_shard())
+        self.inner.engines.iter().try_for_each(|e| e.kick())
     }
 
     /// Blocks until no shard has maintenance work remaining (flushes done,
@@ -759,7 +775,10 @@ impl Db {
     /// Forces every shard's active memtable to freeze and flush, even if
     /// not full.
     pub fn flush(&self) -> Result<()> {
-        self.inner.engines.iter().try_for_each(|e| e.flush_shard())
+        self.inner.engines.iter().try_for_each(|e| {
+            e.freeze_active(true)?;
+            e.wait_idle_shard()
+        })
     }
 
     /// Every counter surface in one snapshot (engine + backend I/O +
@@ -887,10 +906,9 @@ impl Db {
 
 impl Drop for Db {
     fn drop(&mut self) {
-        for engine in &self.inner.engines {
-            engine.shutdown.store(true, Ordering::Release);
-            engine.work_cv.notify_all();
-        }
+        let pool = &self.inner.engines[0].pool;
+        pool.shutdown.store(true, Ordering::Release);
+        pool.signal();
         for handle in self.workers.lock().drain(..) {
             let _ = handle.join();
         }
@@ -913,6 +931,55 @@ fn engine_metrics(inner: &Engine) -> MetricsSnapshot {
 }
 
 impl Shards {
+    /// A pool worker: one job per iteration until the `Db` drops. With no
+    /// job on any shard it parks until signalled, for at most 20 ms.
+    fn work(&self) {
+        let (pool, mut last) = (&self.engines[0].pool, 0);
+        while !pool.shutdown.load(Ordering::Acquire) {
+            if self.step(&mut last) {
+                continue;
+            }
+            let mut flag = pool.wake_mx.lock();
+            if !*flag {
+                pool.wake_cv.wait_for(&mut flag, Duration::from_millis(20));
+            }
+            *flag = false;
+        }
+    }
+
+    /// Runs at most one maintenance job and reports whether it did: a
+    /// flush, on the shard with the most immutable memtables no worker has
+    /// claimed yet; else a compaction, trying shards round-robin from the one
+    /// after `last` (the shard this worker compacted last, updated). A
+    /// failed job records its shard's background error (and counts as
+    /// work); the pool skips that shard from then on. With one shard this
+    /// is `try_flush_one() || try_compact_one()`.
+    pub(crate) fn step(&self, last: &mut usize) -> bool {
+        let live = |i: &usize| self.engines[*i].bg_error.lock().is_none();
+        let run = |i: usize, job: fn(&Engine) -> Result<bool>| {
+            let e = &self.engines[i];
+            e.with_transient_retry(|| job(e)).unwrap_or_else(|err| {
+                e.set_bg_error(&err.to_string());
+                true
+            })
+        };
+        let mut by_queue: Vec<usize> = (0..self.engines.len()).filter(live).collect();
+        by_queue.sort_by_cached_key(|&i| {
+            let e = &self.engines[i];
+            let queued = e.mem.read().immutables.len();
+            Reverse(queued.saturating_sub(e.sched.lock().flushing.len()))
+        });
+        if by_queue.into_iter().any(|i| run(i, Engine::try_flush_one)) {
+            return true;
+        }
+        let n = self.engines.len();
+        let mut round = (1..=n).map(|k| (*last + k) % n).filter(live);
+        round
+            .find(|&i| run(i, Engine::try_compact_one))
+            .map(|i| *last = i)
+            .is_some()
+    }
+
     /// [`Db::metrics`]: shard 0's snapshot with every other shard merged
     /// in. All shards share one cache and one obs handle, so those columns
     /// are taken once, not summed N times.
@@ -1149,5 +1216,131 @@ impl Iterator for DbScanIter {
                 out.map(Ok)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    // Test code: panicking on unexpected results is the assertion style.
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use lsm_storage::FaultBackend;
+
+    use super::*;
+    use crate::Partitioning;
+
+    /// Two shards split at `m`: keys below go to shard 0, the rest to 1.
+    fn two_shards(opts: Options, shard0: Arc<dyn Backend>) -> Db {
+        Db::builder()
+            .shards(2)
+            .partitioning(Partitioning::Range {
+                split_points: vec![b"m".to_vec()],
+            })
+            .backends(vec![shard0, Arc::new(MemBackend::new())])
+            .options(opts)
+            .open()
+            .unwrap()
+    }
+
+    fn put_many(db: &Db, prefix: &str, n: usize) {
+        for i in 0..n {
+            db.put(format!("{prefix}{i:06}").as_bytes(), &[7u8; 100])
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn background_threads_counts_workers_per_db_not_per_shard() {
+        let opts = Options {
+            background_threads: 1,
+            ..Options::small_for_benchmarks()
+        };
+        let db = Db::builder().shards(4).options(opts).open().unwrap();
+        assert_eq!(db.workers.lock().len(), 1);
+        let sync = Db::builder().shards(4).open().unwrap();
+        assert!(sync.workers.lock().is_empty(), "synchronous mode");
+    }
+
+    /// A permanent write fault on shard 0 poisons shard 0 alone: the one
+    /// worker records the error, skips the shard, and keeps flushing and
+    /// compacting shard 1.
+    #[test]
+    fn a_failed_shard_leaves_the_pool_serving_the_others() {
+        let fault = Arc::new(FaultBackend::new(Arc::new(MemBackend::new())));
+        let opts = Options {
+            background_threads: 1,
+            ..Options::small_for_benchmarks()
+        };
+        let db = two_shards(opts, Arc::clone(&fault) as Arc<dyn Backend>);
+        fault.fail_writes_permanently(true);
+        for i in 0..2_000 {
+            // Once the failed flush lands, shard 0 refuses writes.
+            let _ = db.put(format!("a{i:06}").as_bytes(), &[7u8; 100]);
+        }
+        let (shard0, shard1) = (&db.inner.engines[0], &db.inner.engines[1]);
+        assert!(shard0.wait_idle_shard().unwrap_err().is_corruption());
+        assert!(db.put(b"a", b"v").is_err(), "shard 0 stays poisoned");
+
+        put_many(&db, "n", 10_000);
+        shard1.wait_idle_shard().unwrap();
+        let stats = db.shard_metrics(1).db;
+        assert!(stats.flushes > 0 && stats.compactions > 0, "{stats:?}");
+        assert!(shard1.check_bg_error().is_ok());
+        assert_eq!(db.workers.lock().len(), 1);
+        assert!(!db.workers.lock()[0].is_finished(), "the worker lives on");
+        assert_eq!(
+            db.get(b"n000042").unwrap().as_deref(),
+            Some(&[7u8; 100][..])
+        );
+    }
+
+    /// Flushes come before compactions across shards: driving the pool's
+    /// one-job step by hand (synchronous mode, so no worker runs), a
+    /// frozen memtable on shard 0 is flushed before shard 1's pending
+    /// compaction, and the compaction is served by the next step.
+    #[test]
+    fn a_frozen_memtable_is_flushed_before_another_shards_compaction() {
+        let opts = Options {
+            write_buffer_bytes: 64 << 20,
+            ..Options::small_for_benchmarks()
+        };
+        let db = two_shards(opts, Arc::new(MemBackend::new()));
+        let (shard0, shard1) = (&db.inner.engines[0], &db.inner.engines[1]);
+        let count = |e: &Engine| {
+            let s = e.stats.snapshot();
+            (s.flushes, s.compactions)
+        };
+        // Level-0 runs on shard 1 until a compaction is due.
+        for run in 0.. {
+            assert!(run < 32, "no compaction ever became due");
+            put_many(&db, &format!("n{run:02}-"), 200);
+            shard1.freeze_active(true).unwrap();
+            assert!(shard1.try_flush_one().unwrap());
+            if shard1.next_plan().is_some() {
+                break;
+            }
+        }
+        let (flushed, compacted) = count(shard1);
+
+        put_many(&db, "a", 200);
+        shard0.freeze_active(true).unwrap();
+        let mut last = 0;
+        assert!(db.inner.step(&mut last));
+        assert_eq!(count(shard0), (1, 0), "the flush ran first");
+        assert_eq!(count(shard1), (flushed, compacted), "shard 1 waited");
+        assert!(shard1.next_plan().is_some());
+
+        assert!(db.inner.step(&mut last));
+        assert_eq!(count(shard1), (flushed, compacted + 1));
+        assert_eq!(last, 1);
+
+        // Frozen again while shard 1 may still owe compactions: still
+        // at most the one compaction above before the flush.
+        put_many(&db, "b", 200);
+        shard0.freeze_active(true).unwrap();
+        assert!(db.inner.step(&mut last));
+        assert_eq!(count(shard0), (2, 0));
+        while db.inner.step(&mut last) {}
+        assert!(shard0.is_idle() && shard1.is_idle());
     }
 }

@@ -1,8 +1,8 @@
 //! The reusable engine instance: one memtable + WAL + commit queue +
-//! maintenance pipeline + manifest. A [`crate::Db`] owns one `Engine` per
-//! shard (one by default) and routes every call by key. The engine is
-//! crate-private on purpose: every supported construction path goes
-//! through [`crate::DbBuilder`].
+//! maintenance jobs + manifest. A [`crate::Db`] owns one `Engine` per
+//! shard (one by default), routes every call by key and runs their jobs
+//! on one pool. The engine is crate-private on purpose: every supported
+//! construction path goes through [`crate::DbBuilder`].
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,7 +24,7 @@ use lsm_types::{
 };
 
 use crate::compact::{execute_plan, GcRules, OutputWriter};
-use crate::db::{fg_write, DbScanIter, ReadOptions, WriteBatch, WriteOptions};
+use crate::db::{fg_write, DbScanIter, Pool, ReadOptions, WriteBatch, WriteOptions};
 use crate::manifest::Manifest;
 use crate::options::Options;
 use crate::scan::{build_scan_merge, VisibleIter};
@@ -240,15 +240,13 @@ pub(crate) struct Engine {
     /// newer WAL segment — which would lose acknowledged writes at the
     /// next recovery.
     pub(crate) manifest_mx: OrderedMutex<()>,
-    /// Signalled whenever background work may exist.
-    pub(crate) work_mx: OrderedMutex<bool>,
-    pub(crate) work_cv: Condvar,
+    /// The `Db`'s maintenance pool, shared by every shard.
+    pub(crate) pool: Arc<Pool>,
     /// Signalled (always while holding `stall_mx`, see `notify_progress`)
     /// whenever maintenance makes observable progress: the immutable queue
     /// shrinks, a flush or compaction commits, or a background error lands.
     pub(crate) stall_mx: OrderedMutex<()>,
     pub(crate) stall_cv: Condvar,
-    pub(crate) shutdown: AtomicBool,
     pub(crate) bg_error: OrderedMutex<Option<String>>,
     /// When set, every structural change rewrites the backend's `MANIFEST`
     /// metadata blob (see [`MANIFEST_META`]).
@@ -273,6 +271,7 @@ impl Engine {
         cache: Option<Arc<BlockCache>>,
         persist_manifest: bool,
         obs: ObsHandle,
+        pool: Arc<Pool>,
     ) -> Result<Arc<Engine>> {
         let wal_id = if opts.wal {
             Some(backend.create_appendable()?)
@@ -314,11 +313,9 @@ impl Engine {
             commit_mx: OrderedMutex::new(ranks::DB_COMMIT, VecDeque::new()),
             commit_cv: Condvar::new(),
             manifest_mx: OrderedMutex::new(ranks::DB_MANIFEST, ()),
-            work_mx: OrderedMutex::new(ranks::DB_WORK, false),
-            work_cv: Condvar::new(),
+            pool,
             stall_mx: OrderedMutex::new(ranks::DB_STALL, ()),
             stall_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             bg_error: OrderedMutex::new(ranks::DB_BG_ERROR, None),
             persist_manifest,
             obs,
@@ -327,18 +324,15 @@ impl Engine {
         }))
     }
 
+    /// Rebuilds a freshly created engine's state from `manifest`: the tree,
+    /// the clocks, and the memtable replayed from the WAL segments it names.
     pub(crate) fn recover(
-        backend: Arc<dyn Backend>,
-        opts: Options,
-        cache: Option<Arc<BlockCache>>,
-        manifest_bytes: &[u8],
-        persist_manifest: bool,
-        obs: ObsHandle,
+        &self,
+        manifest: Manifest,
         epoch_filter: Option<&EpochFilter>,
-    ) -> Result<Arc<Engine>> {
-        let manifest = Manifest::decode(manifest_bytes)?;
-        let inner = Engine::new(backend.clone(), opts, cache, persist_manifest, obs)?;
-        inner.obs.emit(
+    ) -> Result<()> {
+        let backend = &self.backend;
+        self.obs.emit(
             EventKind::RecoveryPhase,
             None,
             recovery_phase::MANIFEST,
@@ -356,8 +350,8 @@ impl Engine {
                     tables.push(Table::open_pinned(
                         backend.clone(),
                         id,
-                        inner.cache.clone(),
-                        inner.pin_for_level(level_idx),
+                        self.cache.clone(),
+                        self.pin_for_level(level_idx),
                     )?);
                 }
                 runs.push(Run::new(tables));
@@ -367,13 +361,15 @@ impl Engine {
         if levels.is_empty() {
             levels.push(Vec::new());
         }
-        *inner.current.lock() = Arc::new(Version { levels });
+        let version = Version { levels };
+        version.check()?;
+        *self.current.lock() = Arc::new(version);
         // Recovery runs single-threaded before `open` returns: no writer
         // can observe this seqno until the re-log below has restored WAL
         // durability for every replayed entry.
         // lsm-lint: allow(durability-order)
-        inner.seqno.store(manifest.next_seqno, Ordering::Release);
-        inner.clock.store(manifest.next_ts, Ordering::Release);
+        self.seqno.store(manifest.next_seqno, Ordering::Release);
+        self.clock.store(manifest.next_ts, Ordering::Release);
 
         // Replay WAL segments (oldest first) into the active memtable.
         // A segment may be gone (its flush committed, then the crash hit
@@ -388,7 +384,7 @@ impl Engine {
         let mut summary = RecoverySummary::default();
         let mut max_seqno = manifest.next_seqno;
         let mut max_ts = manifest.next_ts;
-        let active = Arc::clone(&inner.mem.read().active);
+        let active = Arc::clone(&self.mem.read().active);
         for &segment in &manifest.wal_segments {
             let report =
                 match wal::replay(backend.as_ref(), segment, wal::RecoveryMode::TruncateTail) {
@@ -426,15 +422,15 @@ impl Engine {
         // into the fresh segment (and the old segments kept) before any
         // external writer can commit.
         // lsm-lint: allow(durability-order)
-        inner.seqno.store(max_seqno, Ordering::Release);
-        inner.clock.store(max_ts, Ordering::Release);
-        inner.obs.emit(
+        self.seqno.store(max_seqno, Ordering::Release);
+        self.clock.store(max_ts, Ordering::Release);
+        self.obs.emit(
             EventKind::RecoveryPhase,
             None,
             recovery_phase::WAL_REPLAY,
             summary.records_recovered as u64,
         );
-        *inner.recovery.lock() = Some(summary);
+        *self.recovery.lock() = Some(summary);
 
         // Re-log the replayed entries into the fresh active WAL (synced, so
         // recovered data is durable again before we drop the old segments),
@@ -450,30 +446,30 @@ impl Engine {
                 e.encode_into(&mut payload);
                 relogged += 1;
             }
-            inner.obs.emit(
+            self.obs.emit(
                 EventKind::RecoveryPhase,
                 None,
                 recovery_phase::RELOG,
                 relogged,
             );
             if !payload.is_empty() {
-                let writer = wal::WalWriter::open(inner.backend.as_ref(), wal_id);
+                let writer = wal::WalWriter::open(self.backend.as_ref(), wal_id);
                 writer.append(&payload)?;
-                if inner.opts.wal_sync {
+                if self.opts.wal_sync {
                     writer.sync()?;
                 }
             }
         }
-        inner.save_manifest()?;
+        self.save_manifest()?;
         if active.wal.is_some() {
             for &segment in &manifest.wal_segments {
-                match inner.backend.delete(segment) {
+                match self.backend.delete(segment) {
                     Ok(()) | Err(Error::NotFound(_)) => {}
                     Err(e) => return Err(e),
                 }
             }
         }
-        Ok(inner)
+        Ok(())
     }
 
     pub(crate) fn check_bg_error(&self) -> Result<()> {
@@ -483,18 +479,27 @@ impl Engine {
         Ok(())
     }
 
-    /// Records a background-class error (used by a `Db` with shards when a
-    /// cross-shard commit could not be recorded on the coordinator, so no
-    /// further acknowledged write builds on a maybe-discarded prefix).
+    /// Records a background-class error: a failed pool job, or a
+    /// cross-shard commit the coordinator could not record (so no further
+    /// acknowledged write builds on a maybe-discarded prefix).
     pub(crate) fn set_bg_error(&self, msg: &str) {
         self.bg_error.lock().get_or_insert_with(|| msg.to_string());
         self.notify_progress();
     }
 
-    pub(crate) fn kick_work(&self) {
-        let mut flag = self.work_mx.lock();
-        *flag = true;
-        self.work_cv.notify_all();
+    /// Maintenance may be due on this shard. The one place that chooses
+    /// between the two modes: without workers the calling thread runs this
+    /// shard's flushes and compactions until none is left (synchronous,
+    /// deterministic mode); otherwise the `Db`'s pool is woken.
+    pub(crate) fn kick(&self) -> Result<()> {
+        if self.pool.threads > 0 {
+            self.pool.signal();
+            return Ok(());
+        }
+        while self.with_transient_retry(|| self.try_flush_one())?
+            || self.with_transient_retry(|| self.try_compact_one())?
+        {}
+        Ok(())
     }
 
     /// Wakes everything parked on maintenance progress: stalled writers,
@@ -541,9 +546,6 @@ impl Engine {
         epoch: Option<u64>,
     ) -> Result<()> {
         self.check_bg_error()?;
-        if self.shutdown.load(Ordering::Acquire) {
-            return Err(Error::ShuttingDown);
-        }
         self.maybe_stall()?;
 
         let req = self.request(ops, w, epoch);
@@ -743,7 +745,7 @@ impl Engine {
                 add_runs: vec![(last_level, Run::new(written.tables))],
                 ..Default::default()
             };
-            *current = Arc::new(edit.apply(current.as_ref()));
+            *current = Arc::new(edit.apply(current.as_ref())?);
         }
         self.stats.puts.fetch_add(count, Ordering::Relaxed);
         self.stats.user_bytes.fetch_add(bytes, Ordering::Relaxed);
@@ -926,7 +928,7 @@ impl Engine {
         Ok(())
     }
 
-    /// Blocks (or inline-maintains) while the immutable queue is full.
+    /// Kicks maintenance and blocks while the immutable queue is full.
     /// Each stall is a span carrying its classified reason, and every
     /// waited chunk lands in that reason's stalled-time histogram — so a
     /// trace shows *why* writers stopped, not just that they did.
@@ -948,18 +950,14 @@ impl Engine {
             }
             let started = Instant::now();
             self.stats.stall_count.fetch_add(1, Ordering::Relaxed);
-            let step = if self.opts.background_threads == 0 {
-                self.drain_maintenance()
-            } else {
-                self.kick_work();
+            let step = self.kick().map(|()| {
                 let mut guard = self.stall_mx.lock();
                 // Re-check under the lock to avoid missed wakeups.
                 if self.mem.read().immutables.len() >= self.opts.max_immutable_memtables {
                     self.stall_cv
                         .wait_for(&mut guard, Duration::from_millis(10));
                 }
-                Ok(())
-            };
+            });
             let waited = started.elapsed().as_nanos() as u64;
             total_waited += waited;
             self.stats.stall_nanos.fetch_add(waited, Ordering::Relaxed);
@@ -1001,12 +999,7 @@ impl Engine {
             return Ok(());
         }
         self.freeze_active(false)?;
-        if self.opts.background_threads == 0 {
-            self.drain_maintenance()
-        } else {
-            self.kick_work();
-            Ok(())
-        }
+        self.kick()
     }
 
     pub(crate) fn freeze_active(&self, even_if_small: bool) -> Result<()> {
@@ -1255,8 +1248,8 @@ impl Engine {
 
     /// Runs `f`, retrying [`Error::Transient`] failures with doubling
     /// backoff up to `opts.transient_retries` times. Background maintenance
-    /// goes through this so one flaky write doesn't kill a compaction
-    /// thread; any other error (or exhausted retries) surfaces unchanged.
+    /// goes through this so one flaky write doesn't poison the shard; any
+    /// other error (or exhausted retries) surfaces unchanged.
     pub(crate) fn with_transient_retry<T>(&self, mut f: impl FnMut() -> Result<T>) -> Result<T> {
         let mut attempt: u32 = 0;
         loop {
@@ -1270,27 +1263,11 @@ impl Engine {
         }
     }
 
-    /// One shard's part of [`Db::maintain`](crate::Db::maintain): drain
-    /// inline in synchronous mode, else wake the workers.
-    pub(crate) fn maintain_shard(&self) -> Result<()> {
-        if self.opts.background_threads > 0 {
-            self.kick_work();
-            return Ok(());
-        }
-        self.drain_maintenance()
-    }
-
     /// One shard's part of [`Db::wait_idle`](crate::Db::wait_idle).
     pub(crate) fn wait_idle_shard(&self) -> Result<()> {
-        if self.opts.background_threads == 0 {
-            return self.drain_maintenance();
-        }
         loop {
+            self.kick()?;
             self.check_bg_error()?;
-            if self.is_idle() {
-                return Ok(());
-            }
-            self.kick_work();
             // Park on the maintenance-progress condvar instead of polling.
             // Completions notify `stall_cv` while holding `stall_mx`, so
             // re-checking idleness under the lock cannot miss a wakeup; the
@@ -1302,56 +1279,6 @@ impl Engine {
             self.stats.idle_waits.fetch_add(1, Ordering::Relaxed);
             self.stall_cv
                 .wait_for(&mut guard, Duration::from_millis(100));
-        }
-    }
-
-    /// One shard's part of [`Db::flush`](crate::Db::flush).
-    pub(crate) fn flush_shard(&self) -> Result<()> {
-        self.freeze_active(true)?;
-        if self.opts.background_threads == 0 {
-            self.drain_maintenance()
-        } else {
-            self.kick_work();
-            self.wait_idle_shard()
-        }
-    }
-
-    pub(crate) fn drain_maintenance(&self) -> Result<()> {
-        loop {
-            if self.with_transient_retry(|| self.try_flush_one())? {
-                continue;
-            }
-            if self.with_transient_retry(|| self.try_compact_one())? {
-                continue;
-            }
-            return Ok(());
-        }
-    }
-
-    pub(crate) fn worker_loop(self: Arc<Self>) {
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            let did = (|| -> Result<bool> {
-                Ok(self.with_transient_retry(|| self.try_flush_one())?
-                    || self.with_transient_retry(|| self.try_compact_one())?)
-            })();
-            match did {
-                Ok(true) => continue,
-                Ok(false) => {
-                    let mut flag = self.work_mx.lock();
-                    if !*flag {
-                        self.work_cv.wait_for(&mut flag, Duration::from_millis(20));
-                    }
-                    *flag = false;
-                }
-                Err(e) => {
-                    self.bg_error.lock().get_or_insert(e.to_string());
-                    self.notify_progress();
-                    return;
-                }
-            }
         }
     }
 
@@ -1412,7 +1339,8 @@ impl Engine {
         self.sched.lock().flushing.remove(&handle.id);
         self.notify_progress();
         result?;
-        self.kick_work();
+        // Wake the pool, never drain inline: a job must not recurse.
+        self.pool.signal();
         Ok(true)
     }
 
@@ -1509,7 +1437,7 @@ impl Engine {
                     add_runs: vec![(0, run)],
                     ..Default::default()
                 };
-                *current = Arc::new(edit.apply(current.as_ref()));
+                *current = Arc::new(edit.apply(current.as_ref())?);
             }
             let mut mem = self.mem.write();
             let popped = mem.immutables.pop_front();
@@ -1597,7 +1525,8 @@ impl Engine {
         }
         self.notify_progress();
         result?;
-        self.kick_work();
+        // Wake the pool, never drain inline: a job must not recurse.
+        self.pool.signal();
         Ok(true)
     }
 
@@ -1663,13 +1592,15 @@ impl Engine {
                     edit.merge_into_run = Some((task.dst_level, outcome.tables.clone()));
                 }
             }
-            // Mark inputs obsolete (deleted when the last reader drops).
+            let next = edit.apply(current.as_ref())?;
+            // Mark inputs obsolete (deleted when the last reader drops),
+            // once the install is sure to happen.
             for t in current.as_ref().all_tables() {
                 if edit.remove.contains(&t.file_id()) {
                     t.mark_obsolete();
                 }
             }
-            *current = Arc::new(edit.apply(current.as_ref()));
+            *current = Arc::new(next);
         }
 
         // Round-robin cursor: remember how far into the key space this

@@ -24,14 +24,14 @@
 //!
 //! Keyspace partitioning, the other parallelism knob of §2.2.5, is a
 //! property of the same [`Db`]: [`DbBuilder::shards`] runs N engines, each
-//! with its own WAL, commit queue and maintenance threads, routed by a
-//! [`Partitioning`] (see the `sharded` module for cross-shard batches and
-//! snapshots).
+//! with its own WAL and commit queue, routed by a [`Partitioning`] (see the
+//! `sharded` module for cross-shard batches and snapshots).
 //!
 //! The engine runs in two maintenance modes: **synchronous** (flush and
 //! compaction run inline on the writing thread — deterministic, the mode
-//! experiments use) and **background** (worker threads drain the maintenance
-//! queue — the mode the parallelism experiment measures).
+//! experiments use) and **background** (one pool of `background_threads`
+//! workers per [`Db`] serves every shard, flushes first — the mode the
+//! parallelism experiment measures).
 
 mod compact;
 mod db;

@@ -61,26 +61,13 @@ impl Manifest {
         for id in &self.wal_segments {
             put_varint(&mut buf, *id);
         }
-        let crc = checksum::crc32c(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        checksum::seal(&mut buf, 0);
         buf
     }
 
     /// Decodes and validates a manifest blob.
     pub fn decode(data: &[u8]) -> Result<Self> {
-        if data.len() < 12 {
-            return Err(Error::Corruption("manifest too short".into()));
-        }
-        let (payload, trailer) = data.split_at(data.len() - 4);
-        let crc = u32::from_le_bytes(
-            trailer
-                .try_into()
-                .map_err(|_| Error::Corruption("manifest trailer truncated".into()))?,
-        );
-        if !checksum::verify(payload, crc) {
-            return Err(Error::Corruption("manifest checksum mismatch".into()));
-        }
-        let mut dec = Decoder::new(payload);
+        let mut dec = Decoder::new(checksum::open(data)?);
         if dec.u64()? != MANIFEST_MAGIC {
             return Err(Error::Corruption("bad manifest magic".into()));
         }

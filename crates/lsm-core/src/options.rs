@@ -54,8 +54,10 @@ pub struct Options {
     /// How many times background maintenance retries a transient storage
     /// error (with doubling backoff) before treating it as fatal.
     pub transient_retries: u32,
-    /// Background maintenance threads; 0 runs flush/compaction inline on
-    /// the writing thread (deterministic mode).
+    /// Background maintenance threads for the whole [`crate::Db`]: one
+    /// pool serves every shard, so a 4-shard `Db` with 2 threads runs 2
+    /// workers, not 8. 0 runs flush/compaction inline on the writing
+    /// thread (deterministic mode).
     pub background_threads: usize,
     /// Maximum size of one output table during flush/compaction; larger
     /// outputs split at user-key boundaries (partial-compaction substrate).

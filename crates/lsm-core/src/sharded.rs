@@ -2,8 +2,9 @@
 //! [`DbBuilder::shards`](crate::DbBuilder::shards)` > 1` maps keys to its
 //! engines, and how a batch that spans several of them commits.
 //!
-//! Each shard is a full [`crate::engine::Engine`] with its own WAL, commit
-//! queue and maintenance threads. One commit queue means one WAL append
+//! Each shard is a full [`crate::engine::Engine`] with its own WAL and
+//! commit queue (maintenance runs on the `Db`'s one worker pool, shared
+//! by every shard). One commit queue means one WAL append
 //! stream and one fsync pipeline, no matter how many cores submit writes;
 //! partitioning the keyspace gives every shard its own leader/follower
 //! group commit, so aggregate ingest scales with shards until the device
@@ -29,6 +30,9 @@ use std::sync::Arc;
 
 use lsm_storage::Backend;
 use lsm_types::encoding::{put_len_prefixed, put_varint, Decoder};
+// `open` is renamed because lsm-lint resolves a call by its bare name
+// within the crate, where `open` is `DbBuilder::open`.
+use lsm_types::checksum::{self, open as open_sealed};
 use lsm_types::{EntryKind, Error, Result};
 
 #[cfg(doc)]
@@ -171,35 +175,64 @@ pub(crate) struct EpochLog {
     committed: BTreeSet<u64>,
 }
 
-const SHARDS_META_VERSION: u8 = 1;
-const EPOCHS_META_VERSION: u8 = 1;
+/// Version of the `SHARDS` and `EPOCHS` blobs this build writes:
+/// `version | body | u32 crc32c` ([`checksum::seal`] over all of it).
+/// Version 1, the same without the trailer, is still read.
+const META_VERSION: u8 = 2;
+
+/// Frames a coordinator blob: the version byte, `body`'s bytes, the trailer.
+fn seal_meta(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = vec![META_VERSION];
+    body(&mut buf);
+    checksum::seal(&mut buf, 0);
+    buf
+}
+
+/// The body of a coordinator blob, its trailer checked (version 2) or
+/// absent (version 1). `what` names the blob in the error.
+fn open_meta<'a>(data: &'a [u8], what: &str) -> Result<Decoder<'a>> {
+    let body = match data.first() {
+        Some(1) => &data[1..],
+        Some(2) => &open_sealed(data)?[1..],
+        version => {
+            return Err(Error::Corruption(format!(
+                "unknown {what} version {version:?}"
+            )))
+        }
+    };
+    Ok(Decoder::new(body))
+}
+
+/// Refuses bytes left over after a blob's last field.
+fn finish_meta(dec: &Decoder<'_>, what: &str) -> Result<()> {
+    if dec.is_empty() {
+        return Ok(());
+    }
+    Err(Error::Corruption(format!(
+        "trailing bytes after the {what}"
+    )))
+}
 
 impl EpochLog {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16 + 2 * self.committed.len());
-        buf.push(EPOCHS_META_VERSION);
-        put_varint(&mut buf, self.next);
-        put_varint(&mut buf, self.committed.len() as u64);
-        for e in &self.committed {
-            put_varint(&mut buf, *e);
-        }
-        buf
+        seal_meta(|buf| {
+            put_varint(buf, self.next);
+            put_varint(buf, self.committed.len() as u64);
+            for e in &self.committed {
+                put_varint(buf, *e);
+            }
+        })
     }
 
     fn decode(data: &[u8]) -> Result<EpochLog> {
-        let mut dec = Decoder::new(data);
-        let version = dec.u8()?;
-        if version != EPOCHS_META_VERSION {
-            return Err(Error::Corruption(format!(
-                "unknown epoch-log version {version}"
-            )));
-        }
+        let mut dec = open_meta(data, "epoch log")?;
         let next = dec.varint()?;
         let count = dec.varint()? as usize;
         let mut committed = BTreeSet::new();
         for _ in 0..count {
             committed.insert(dec.varint()?);
         }
+        finish_meta(&dec, "epoch log")?;
         Ok(EpochLog { next, committed })
     }
 
@@ -254,23 +287,17 @@ impl EpochLog {
 }
 
 fn encode_shards_meta(shards: usize, partitioning: &Partitioning) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16);
-    buf.push(SHARDS_META_VERSION);
-    put_varint(&mut buf, shards as u64);
-    partitioning.encode(&mut buf);
-    buf
+    seal_meta(|buf| {
+        put_varint(buf, shards as u64);
+        partitioning.encode(buf);
+    })
 }
 
 fn decode_shards_meta(data: &[u8]) -> Result<(usize, Partitioning)> {
-    let mut dec = Decoder::new(data);
-    let version = dec.u8()?;
-    if version != SHARDS_META_VERSION {
-        return Err(Error::Corruption(format!(
-            "unknown shard-config version {version}"
-        )));
-    }
+    let mut dec = open_meta(data, "shard config")?;
     let shards = dec.varint()? as usize;
     let partitioning = Partitioning::decode(&mut dec)?;
+    finish_meta(&dec, "shard config")?;
     Ok((shards, partitioning))
 }
 
@@ -463,5 +490,58 @@ mod tests {
         let back = EpochLog::decode(&log.encode()).unwrap();
         assert_eq!(back.next, 42);
         assert_eq!(back.committed, log.committed);
+    }
+
+    /// Version-1 blobs (no checksum trailer) from an older build still
+    /// decode to what they recorded.
+    #[test]
+    fn version_one_blobs_still_read() {
+        let epochs = [1u8, 42, 3, 3, 7, 41];
+        let back = EpochLog::decode(&epochs).unwrap();
+        assert_eq!(back.next, 42);
+        assert_eq!(back.committed, [3, 7, 41].into_iter().collect());
+        let shards = [1u8, 3, 1, 2, 1, b'h', 1, b't'];
+        let p = Partitioning::Range {
+            split_points: vec![b"h".to_vec(), b"t".to_vec()],
+        };
+        assert_eq!(decode_shards_meta(&shards).unwrap(), (3, p));
+    }
+
+    /// Every bit flipped in every byte of a version-2 blob, and every byte
+    /// inverted, is `Corruption`: never a different epoch log or layout.
+    #[test]
+    fn every_flip_of_a_v2_blob_is_corruption() {
+        let log = EpochLog {
+            next: 300,
+            committed: [3, 7, 299].into_iter().collect(),
+        };
+        let epochs = log.encode();
+        assert_eq!(epochs[0], 2);
+        let p = Partitioning::Range {
+            split_points: vec![b"h".to_vec(), b"t".to_vec()],
+        };
+        let shards = encode_shards_meta(3, &p);
+        for i in 0..epochs.len() {
+            for mask in (0..8).map(|b| 1u8 << b).chain([0xff]) {
+                let mut bad = epochs.clone();
+                bad[i] ^= mask;
+                let err = EpochLog::decode(&bad).err();
+                assert!(
+                    err.as_ref().is_some_and(Error::is_corruption),
+                    "EPOCHS byte {i} mask {mask:#x}: {err:?}"
+                );
+            }
+        }
+        for i in 0..shards.len() {
+            for mask in (0..8).map(|b| 1u8 << b).chain([0xff]) {
+                let mut bad = shards.clone();
+                bad[i] ^= mask;
+                let err = decode_shards_meta(&bad).err();
+                assert!(
+                    err.as_ref().is_some_and(Error::is_corruption),
+                    "SHARDS byte {i} mask {mask:#x}: {err:?}"
+                );
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use lsm_compaction::{LevelDesc, RunDesc, TableDesc, TreeDesc};
 use lsm_sstable::{ReadCtx, Table};
-use lsm_types::{InternalEntry, Result, SeqNo, UserKey};
+use lsm_types::{Error, InternalEntry, Result, SeqNo, UserKey};
 
 /// One sorted run: tables in ascending, non-overlapping key order.
 ///
@@ -155,6 +155,36 @@ impl Version {
             .flat_map(|r| r.tables.iter())
     }
 
+    /// The structural invariants every installed version keeps: each run's
+    /// tables are key-sorted and disjoint, and no table sits in two runs
+    /// (or twice in one). A breach is [`Error::Corruption`] naming the
+    /// first bad spot: an install built from a stale plan, or a manifest
+    /// that lists a table twice.
+    pub(crate) fn check(&self) -> Result<()> {
+        let mut seen = HashSet::new();
+        for (level, runs) in self.levels.iter().enumerate() {
+            for (r, run) in runs.iter().enumerate() {
+                for pair in run.tables.windows(2) {
+                    let (a, b) = (pair[0].meta(), pair[1].meta());
+                    if a.key_range.max >= b.key_range.min {
+                        return Err(Error::Corruption(format!(
+                            "level {level} run {r}: tables {} and {} overlap or are out of order",
+                            pair[0].file_id(),
+                            pair[1].file_id()
+                        )));
+                    }
+                }
+                if let Some(t) = run.tables.iter().find(|t| !seen.insert(t.file_id())) {
+                    return Err(Error::Corruption(format!(
+                        "level {level} run {r}: table {} appears twice in the version",
+                        t.file_id()
+                    )));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The planner's view of this version.
     pub fn describe(&self) -> TreeDesc {
         TreeDesc {
@@ -215,8 +245,26 @@ pub struct VersionEdit {
 }
 
 impl VersionEdit {
-    /// Applies the edit to `base`, producing the next version.
-    pub fn apply(&self, base: &Version) -> Version {
+    /// Applies the edit to `base`, producing the next version. Debug
+    /// builds also check that every removed table is in `base` and that
+    /// the result passes [`Version::check`], so a bad install fails as
+    /// [`Error::Corruption`] where it happens instead of as a wrong read
+    /// later.
+    pub fn apply(&self, base: &Version) -> Result<Version> {
+        let next = self.build(base);
+        if cfg!(debug_assertions) {
+            let present: HashSet<u64> = base.all_tables().map(|t| t.file_id()).collect();
+            if let Some(id) = self.remove.iter().find(|id| !present.contains(id)) {
+                return Err(Error::Corruption(format!(
+                    "version edit removes table {id}, which the base version lacks"
+                )));
+            }
+            next.check()?;
+        }
+        Ok(next)
+    }
+
+    fn build(&self, base: &Version) -> Version {
         let mut levels: Vec<Vec<Run>> = base
             .levels
             .iter()
@@ -347,7 +395,7 @@ mod tests {
         let mut edit = VersionEdit::default();
         edit.remove.insert(t1_id);
         edit.add_runs.push((1, Run::new(vec![t3])));
-        let next = edit.apply(&base);
+        let next = edit.apply(&base).unwrap();
         assert_eq!(next.levels[0].len(), 1, "t1's run removed");
         assert_eq!(next.levels[1].len(), 1);
         assert_eq!(next.total_entries(), 3);
@@ -367,7 +415,7 @@ mod tests {
             add_runs: vec![],
             merge_into_run: Some((1, vec![t_mid])),
         };
-        let next = edit.apply(&base);
+        let next = edit.apply(&base).unwrap();
         let mins: Vec<&[u8]> = next.levels[1][0]
             .tables
             .iter()
@@ -391,7 +439,7 @@ mod tests {
             add_runs: vec![(0, Run::new(vec![new]))],
             ..Default::default()
         };
-        let next = edit.apply(&base);
+        let next = edit.apply(&base).unwrap();
         // run 0 must be the new one
         let seqnos: Vec<SeqNo> = next.levels[0]
             .iter()
@@ -403,12 +451,46 @@ mod tests {
         assert_eq!(seqnos, vec![2, 1]);
     }
 
+    /// The scheduler race class: an edit that splices a table into a
+    /// leveled run it overlaps, or removes a table the base lacks, fails
+    /// at install instead of producing a version that reads wrong (the
+    /// install checks run in debug builds).
+    #[test]
+    #[cfg(debug_assertions)]
+    fn bad_installs_fail_at_apply() {
+        let backend = Arc::new(MemBackend::new());
+        let base = Version {
+            levels: vec![
+                vec![],
+                vec![Run::new(vec![make_table(&backend, &[("a", 1), ("m", 1)])])],
+            ],
+        };
+        let overlapping = VersionEdit {
+            merge_into_run: Some((1, vec![make_table(&backend, &[("k", 2), ("z", 2)])])),
+            ..Default::default()
+        };
+        let err = overlapping.apply(&base).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+
+        let stale = VersionEdit {
+            remove: [9999].into_iter().collect(),
+            ..Default::default()
+        };
+        assert!(stale.apply(&base).unwrap_err().is_corruption());
+
+        let t = make_table(&backend, &[("q", 3)]);
+        let twice = Version {
+            levels: vec![vec![Run::new(vec![t.clone()]), Run::new(vec![t])]],
+        };
+        assert!(twice.check().unwrap_err().is_corruption());
+    }
+
     #[test]
     fn trailing_empty_levels_trimmed() {
         let base = Version {
             levels: vec![Vec::new(), Vec::new(), Vec::new()],
         };
-        let next = VersionEdit::default().apply(&base);
+        let next = VersionEdit::default().apply(&base).unwrap();
         assert_eq!(next.levels.len(), 1);
     }
 }

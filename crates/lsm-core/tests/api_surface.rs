@@ -100,7 +100,11 @@ fn db_is_a_thin_one_shard_wrapper() {
     // to its engines plus the worker-thread registry — nothing else. State
     // belongs in the crate-private `Engine` (per shard) or beside the
     // engines (shared with snapshots and the exporter), so this size pin
-    // fails the moment a field lands in the wrapper instead.
+    // fails the moment a field lands in the wrapper instead. The registry
+    // holds the one maintenance pool's workers:
+    // `Options::background_threads` counts workers per `Db`, not per
+    // shard, so a 4-shard `Db` with 1 thread runs one worker (it ran four
+    // when every engine owned its own threads).
     assert_eq!(
         std::mem::size_of::<Db>(),
         std::mem::size_of::<Arc<()>>()

@@ -23,13 +23,6 @@ use lsm_types::{checksum, EntryKind, Error, InternalEntry, InternalKey, Result, 
 /// key.
 pub(crate) const RESTART_INTERVAL: usize = 16;
 
-/// Seals the block whose payload is `buf[start..]` by appending the
-/// payload's CRC-32C, computed in place.
-fn seal_block(buf: &mut Vec<u8>, start: usize) {
-    let crc = checksum::crc32c(&buf[start..]);
-    put_u32(buf, crc);
-}
-
 fn corrupt(what: &str) -> Error {
     Error::Corruption(format!("data block: {what}"))
 }
@@ -93,7 +86,7 @@ impl BlockEncoder {
             put_u32(buf, offset);
         }
         put_u32(buf, count);
-        seal_block(buf, block_start);
+        checksum::seal(buf, block_start);
         self.since_restart = 0;
     }
 }
@@ -127,19 +120,7 @@ impl BlockBuilder {
 
 /// Verifies a block's CRC and returns its payload slice.
 pub fn verify_block(block: &[u8]) -> Result<&[u8]> {
-    if block.len() < 4 {
-        return Err(corrupt("shorter than its trailer"));
-    }
-    let (payload, trailer) = block.split_at(block.len() - 4);
-    let expected = u32::from_le_bytes(
-        trailer
-            .try_into()
-            .map_err(|_| corrupt("trailer truncated"))?,
-    );
-    if !checksum::verify(payload, expected) {
-        return Err(corrupt("checksum mismatch"));
-    }
-    Ok(payload)
+    checksum::open(block)
 }
 
 /// One entry parsed where it lies: the one parser of the block format.
@@ -499,7 +480,7 @@ mod tests {
     /// A payload sealed with a valid CRC, so only the structural checks
     /// stand between it and the reader.
     fn sealed(mut payload: Vec<u8>) -> Bytes {
-        seal_block(&mut payload, 0);
+        checksum::seal(&mut payload, 0);
         Bytes::from(payload)
     }
 

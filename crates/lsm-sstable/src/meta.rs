@@ -101,26 +101,13 @@ impl TableMeta {
             put_varint(&mut buf, *offset);
             put_varint(&mut buf, *len);
         }
-        let crc = checksum::crc32c(&buf);
-        put_u32(&mut buf, crc);
+        checksum::seal(&mut buf, 0);
         buf
     }
 
     /// Decodes a meta block, verifying its CRC.
     pub fn decode(data: &[u8]) -> Result<Self> {
-        if data.len() < 4 {
-            return Err(Error::Corruption("meta block too short".into()));
-        }
-        let (payload, trailer) = data.split_at(data.len() - 4);
-        let crc = u32::from_le_bytes(
-            trailer
-                .try_into()
-                .map_err(|_| Error::Corruption("meta trailer truncated".into()))?,
-        );
-        if !checksum::verify(payload, crc) {
-            return Err(Error::Corruption("meta block checksum mismatch".into()));
-        }
-        let mut dec = Decoder::new(payload);
+        let mut dec = Decoder::new(checksum::open(data)?);
         let entry_count = dec.varint()?;
         let tombstone_count = dec.varint()?;
         let range_tombstone_count = dec.varint()?;

@@ -37,8 +37,10 @@ pub const DB_WRITE: LockRank = LockRank::new("db.write_mx", 100);
 pub const DB_COMMIT: LockRank = LockRank::new("db.commit_mx", 105);
 /// `Db` write-stall condvar mutex (waiters for immutable-memtable drain).
 pub const DB_STALL: LockRank = LockRank::new("db.stall_mx", 110);
-/// `Db` background-worker wakeup condvar mutex.
-pub const DB_WORK: LockRank = LockRank::new("db.work_mx", 120);
+/// Wake flag of the `Db`'s maintenance pool (the mutex its workers' condvar
+/// pairs with). One per `Db`, shared by every shard; taken with nothing
+/// else held.
+pub const DB_WORK: LockRank = LockRank::new("db.pool.wake_mx", 120);
 /// `Db` manifest persistence ticket: serializes build-manifest +
 /// `put_meta` so a save built from older state can never overwrite a
 /// newer save (which would drop a live WAL segment from the manifest and

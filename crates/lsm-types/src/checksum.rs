@@ -5,6 +5,13 @@
 //! [`crc32c`] is the one entry point: it uses the CPU's CRC-32C instruction
 //! (SSE4.2 on x86-64, the CRC extension on aarch64) when the running CPU
 //! has it, checked at run time, and the table-driven code otherwise.
+//!
+//! Every checksummed record that is not a log record (data, meta and
+//! manifest blocks, the value-log roster, the coordinator blobs) shares one
+//! framing, `payload | u32 crc32c(payload)`: [`seal`] writes the trailer
+//! and [`open`] checks it.
+
+use crate::{Error, Result};
 
 /// The reflected CRC-32C polynomial.
 const POLY: u32 = 0x82f6_3b78;
@@ -123,6 +130,35 @@ pub fn verify(data: &[u8], expected: u32) -> bool {
     crc32c(data) == expected
 }
 
+/// Seals the record whose payload is `buf[start..]` by appending the
+/// payload's CRC-32C (little-endian).
+#[inline]
+pub fn seal(buf: &mut Vec<u8>, start: usize) {
+    let crc = crc32c(&buf[start..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Checks a record [`seal`] framed and returns its payload, or
+/// [`Error::Corruption`] when the trailer is missing or does not match.
+#[inline]
+pub fn open(record: &[u8]) -> Result<&[u8]> {
+    let Some((payload, trailer)) = record
+        .len()
+        .checked_sub(4)
+        .map(|split| record.split_at(split))
+    else {
+        return Err(Error::Corruption(
+            "record shorter than its checksum trailer".into(),
+        ));
+    };
+    let mut crc = [0u8; 4];
+    crc.copy_from_slice(trailer);
+    if !verify(payload, u32::from_le_bytes(crc)) {
+        return Err(Error::Corruption("checksum mismatch".into()));
+    }
+    Ok(payload)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +220,22 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn seal_and_open_round_trip_and_reject_every_flip() {
+        let mut buf = b"head".to_vec();
+        buf.extend_from_slice(b"payload");
+        seal(&mut buf, 4);
+        let record = &buf[4..];
+        assert_eq!(open(record).unwrap(), b"payload");
+        for i in 0..record.len() {
+            let mut copy = record.to_vec();
+            copy[i] ^= 0x10;
+            assert!(open(&copy).unwrap_err().is_corruption(), "flip at {i}");
+        }
+        assert!(open(&record[..3]).unwrap_err().is_corruption());
+        assert!(open(&[]).unwrap_err().is_corruption());
     }
 
     #[test]

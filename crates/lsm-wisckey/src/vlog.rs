@@ -313,25 +313,12 @@ impl ValueLog {
             put_varint(&mut buf, id);
         }
         put_varint(&mut buf, state.active);
-        let crc = checksum::crc32c(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
+        checksum::seal(&mut buf, 0);
         buf
     }
 
     fn decode_meta(data: &[u8]) -> Result<(Vec<FileId>, FileId)> {
-        if data.len() < 12 {
-            return Err(Error::Corruption("vlog roster too short".into()));
-        }
-        let (payload, trailer) = data.split_at(data.len() - 4);
-        let crc = u32::from_le_bytes(
-            trailer
-                .try_into()
-                .map_err(|_| Error::Corruption("vlog roster trailer truncated".into()))?,
-        );
-        if !checksum::verify(payload, crc) {
-            return Err(Error::Corruption("vlog roster checksum mismatch".into()));
-        }
-        let mut dec = Decoder::new(payload);
+        let mut dec = Decoder::new(checksum::open(data)?);
         if dec.u64()? != VLOG_MAGIC {
             return Err(Error::Corruption("bad vlog roster magic".into()));
         }

@@ -98,7 +98,7 @@ fn lock_order_spec_is_current_acyclic_and_matches_runtime_ranks() {
     for (cv, mx) in [
         ("lsm-core/commit_cv", "lsm-core/commit_mx"),
         ("lsm-core/stall_cv", "lsm-core/stall_mx"),
-        ("lsm-core/work_cv", "lsm-core/work_mx"),
+        ("lsm-core/wake_cv", "lsm-core/wake_mx"),
     ] {
         assert_eq!(
             condvars.get(cv).map(String::as_str),
