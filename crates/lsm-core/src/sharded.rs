@@ -29,10 +29,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use lsm_storage::Backend;
+use lsm_types::checksum;
 use lsm_types::encoding::{put_len_prefixed, put_varint, Decoder};
-// `open` is renamed because lsm-lint resolves a call by its bare name
-// within the crate, where `open` is `DbBuilder::open`.
-use lsm_types::checksum::{self, open as open_sealed};
 use lsm_types::{EntryKind, Error, Result};
 
 #[cfg(doc)]
@@ -193,7 +191,7 @@ fn seal_meta(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 fn open_meta<'a>(data: &'a [u8], what: &str) -> Result<Decoder<'a>> {
     let body = match data.first() {
         Some(1) => &data[1..],
-        Some(2) => &open_sealed(data)?[1..],
+        Some(2) => &checksum::open(data)?[1..],
         version => {
             return Err(Error::Corruption(format!(
                 "unknown {what} version {version:?}"

@@ -29,9 +29,9 @@
 //! - **A2** — `SeqCst` requires an annotated rationale (it is a cost: a
 //!   full fence on every site); `allow(atomics-order)` + why.
 //! - **A3** — a `Relaxed` load may not gate reads of non-atomic fields
-//!   (directly in the guarded block, or via an intra-crate call that is
-//!   resolved with the same unique-name discipline as L5–L7 and reads
-//!   non-atomic state without taking a lock).
+//!   (directly in the guarded block, or via a call that reads non-atomic
+//!   state without taking a lock, followed by the one call rule of the
+//!   `ir` module that L5–L7 use too).
 //! - **A4** — a standalone `fence`/`compiler_fence` must name its pairing
 //!   site in a `pairs with ...` comment on its line or the line above.
 //!
@@ -43,12 +43,13 @@
 //! [`AtomicsReport::spec_json`]), checked in at the workspace root as a
 //! sibling of `lock_order.json` and `durability_order.json`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use crate::durability::{chain_root_line, forward_close};
-use crate::lockgraph::{crate_of, for_each_fn, is_engine_file, CALL_KEYWORDS};
-use crate::{test_regions, tokenize, Diagnostic, Rule, Token};
+use crate::ir::{
+    chain_root_line, fixpoint, matching, receiver_ident, Ir, SourceFile, CALL_KEYWORDS,
+};
+use crate::{Diagnostic, Rule, Token};
 
 /// The `std::sync::atomic` type names that mark a field as atomic.
 const ATOMIC_TYPES: &[&str] = &[
@@ -158,17 +159,6 @@ struct OpSite {
     /// Statement-root line (allow-comments anchor here).
     line: usize,
     fn_name: String,
-}
-
-/// A tokenized engine file with its per-token test mask and fn map.
-struct PFile {
-    path: String,
-    crate_name: String,
-    tokens: Vec<Token>,
-    test: Vec<bool>,
-    lines: Vec<String>,
-    /// `(fn name, body token range)` for every non-test fn.
-    fns: Vec<(String, Range<usize>)>,
 }
 
 /// What discovery learned about one atomic field.
@@ -294,33 +284,17 @@ impl AtomicsReport {
 /// Runs the atomics-publication analysis over `(workspace-relative path,
 /// source)` pairs.
 pub fn analyze(files: &[(String, String)]) -> AtomicsReport {
-    let mut report = AtomicsReport::default();
+    from_ir(&Ir::build(files))
+}
 
-    // Tokenize every engine file once.
-    let prepared: Vec<PFile> = files
-        .iter()
-        .filter(|(path, _)| is_engine_file(path))
-        .map(|(path, source)| {
-            let tokens = tokenize(source);
-            let test = test_regions(&tokens);
-            let mut fns = Vec::new();
-            for_each_fn(&tokens, &test, |name, _sig, body| {
-                fns.push((name.to_string(), body));
-            });
-            PFile {
-                path: path.clone(),
-                crate_name: crate_of(path).to_string(),
-                tokens,
-                test,
-                lines: source.lines().map(str::to_string).collect(),
-                fns,
-            }
-        })
-        .collect();
+/// [`analyze`] over an already-built [`Ir`].
+pub(crate) fn from_ir(ir: &Ir) -> AtomicsReport {
+    let mut report = AtomicsReport::default();
+    let engine = || ir.files.iter().enumerate().filter(|(_, f)| f.engine);
 
     // Pass 1: discover atomic fields.
     let mut fields: BTreeMap<(String, String), FieldInfo> = BTreeMap::new();
-    for pf in &prepared {
+    for (_, pf) in engine() {
         discover_fields(pf, &mut fields);
     }
 
@@ -328,8 +302,8 @@ pub fn analyze(files: &[(String, String)]) -> AtomicsReport {
     let mut ops: Vec<OpSite> = Vec::new();
     // (file_idx, token_idx, fn_name, paired)
     let mut fences: Vec<(usize, usize, String, bool)> = Vec::new();
-    for (file_idx, pf) in prepared.iter().enumerate() {
-        collect_ops(pf, file_idx, &fields, &mut ops, &mut fences);
+    for (file_idx, _) in engine() {
+        collect_ops(ir, file_idx, &fields, &mut ops, &mut fences);
     }
 
     // Pass 3: per-field aggregation and role inference.
@@ -337,7 +311,7 @@ pub fn analyze(files: &[(String, String)]) -> AtomicsReport {
     for op in &ops {
         let Some(key) = &op.field else { continue };
         let agg = aggs.entry(key).or_default();
-        let site = (prepared[op.file_idx].path.clone(), op.line);
+        let site = (ir.files[op.file_idx].path.clone(), op.line);
         match op.kind {
             OpKind::Store => {
                 agg.stores.insert(op.eff);
@@ -401,7 +375,7 @@ pub fn analyze(files: &[(String, String)]) -> AtomicsReport {
         };
         report.diagnostics.push(Diagnostic {
             rule: Rule::AtomicsOrder,
-            path: prepared[op.file_idx].path.clone(),
+            path: ir.files[op.file_idx].path.clone(),
             line: op.line,
             message,
         });
@@ -419,7 +393,7 @@ pub fn analyze(files: &[(String, String)]) -> AtomicsReport {
             .unwrap_or("<expr>");
         report.diagnostics.push(Diagnostic {
             rule: Rule::AtomicsOrder,
-            path: prepared[op.file_idx].path.clone(),
+            path: ir.files[op.file_idx].path.clone(),
             line: op.line,
             message: format!(
                 "`SeqCst` on `{recv}.{}(..)`; sequential consistency is a full \
@@ -433,7 +407,7 @@ pub fn analyze(files: &[(String, String)]) -> AtomicsReport {
 
     // A4: a standalone fence must say what it pairs with.
     for &(file_idx, tok_idx, ref fn_name, paired) in &fences {
-        let pf = &prepared[file_idx];
+        let pf = &ir.files[file_idx];
         if !paired {
             report.diagnostics.push(Diagnostic {
                 rule: Rule::AtomicsOrder,
@@ -456,8 +430,8 @@ pub fn analyze(files: &[(String, String)]) -> AtomicsReport {
         .sort_by(|a, b| (&a.file, &a.fn_name).cmp(&(&b.file, &b.fn_name)));
 
     // A3: a Relaxed load gating non-atomic reads (direct, or through a
-    // uniquely-resolved intra-crate call that reads unlocked state).
-    check_relaxed_gates(&prepared, &fields, &ops, &mut report.diagnostics);
+    // followed call that reads unlocked state).
+    check_relaxed_gates(ir, &fields, &ops, &mut report.diagnostics);
 
     report
         .diagnostics
@@ -513,7 +487,7 @@ struct Agg {
 /// statics, params, and struct-literal initializers all reveal the field.
 /// Struct attribution comes from a definition-context stack; annotations
 /// outside a struct body (statics, params) go unattributed.
-fn discover_fields(pf: &PFile, fields: &mut BTreeMap<(String, String), FieldInfo>) {
+fn discover_fields(pf: &SourceFile, fields: &mut BTreeMap<(String, String), FieldInfo>) {
     let toks = &pf.tokens;
     let mut depth = 0i64;
     let mut struct_stack: Vec<(String, i64)> = Vec::new();
@@ -600,14 +574,20 @@ fn scan_type_for_atomic(toks: &[Token], start: usize) -> Option<&'static str> {
 /// `static`'s or `thread_local!`'s initializer is engine code too) and
 /// records every atomic op and standalone fence outside test regions.
 fn collect_ops(
-    pf: &PFile,
+    ir: &Ir,
     file_idx: usize,
     fields: &BTreeMap<(String, String), FieldInfo>,
     ops: &mut Vec<OpSite>,
     fences: &mut Vec<(usize, usize, String, bool)>,
 ) {
+    let pf = &ir.files[file_idx];
     let toks = &pf.tokens;
-    let text = |k: usize| toks.get(k).map(|t| t.text.as_str()).unwrap_or("");
+    let text = |k: usize| toks.get(k).map_or("", |t| t.text.as_str());
+    let fn_name = |k: usize| {
+        ir.enclosing_fn(file_idx, k)
+            .map(|f| f.name.clone())
+            .unwrap_or_default()
+    };
     for i in 0..toks.len() {
         if pf.test[i] {
             continue;
@@ -625,7 +605,7 @@ fn collect_ops(
                 .iter()
                 .filter_map(|&l| l.checked_sub(1).and_then(|idx| pf.lines.get(idx)))
                 .any(|raw| raw.contains("pairs with"));
-            fences.push((file_idx, i, enclosing_fn(&pf.fns, i), paired));
+            fences.push((file_idx, i, fn_name(i), paired));
             continue;
         }
 
@@ -638,7 +618,7 @@ fn collect_ops(
         if text(i + 2) != "(" {
             continue;
         }
-        let Some(close) = forward_close(toks, i + 2) else {
+        let Some(close) = matching(toks, i + 2) else {
             continue;
         };
         // Orderings listed at this site, excluding any nested atomic op's
@@ -648,7 +628,7 @@ fn collect_ops(
         let mut j = i + 3;
         while j < close {
             if toks[j].text == "." && op_kind(text(j + 1)).is_some() && text(j + 2) == "(" {
-                if let Some(c) = forward_close(toks, j + 2) {
+                if let Some(c) = matching(toks, j + 2) {
                     j = c + 1;
                     continue;
                 }
@@ -663,8 +643,10 @@ fn collect_ops(
         let Some(&eff) = orders.iter().max() else {
             continue;
         };
+        // Discovery only keys identifiers, so a non-identifier receiver
+        // never resolves.
         let field = receiver_ident(toks, i).and_then(|r| {
-            let key = (pf.crate_name.clone(), r);
+            let key = (pf.crate_name.clone(), toks[r].text.clone());
             fields.contains_key(&key).then_some(key)
         });
         ops.push(OpSite {
@@ -676,205 +658,127 @@ fn collect_ops(
             file_idx,
             dot_idx: i,
             line: chain_root_line(toks, i),
-            fn_name: enclosing_fn(&pf.fns, i),
+            fn_name: fn_name(i),
         });
     }
 }
 
-/// The identifier the op chain dereferences: the token before the `.`, or —
-/// for an indexed receiver like `buckets[i].fetch_add(..)` — the identifier
-/// before the matching `[`.
-fn receiver_ident(toks: &[Token], dot_idx: usize) -> Option<String> {
-    let mut j = dot_idx.checked_sub(1)?;
-    if toks[j].text == "]" {
-        let mut depth = 0i64;
-        loop {
-            match toks[j].text.as_str() {
-                "]" => depth += 1,
-                "[" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        j = j.checked_sub(1)?;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j = j.checked_sub(1)?;
-        }
-    }
-    let t = &toks[j].text;
-    let ok = t
-        .chars()
-        .next()
-        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-        && !CALL_KEYWORDS.contains(&t.as_str());
-    ok.then(|| t.clone())
-}
-
-/// Name of the fn whose body contains token `idx` ("" at item scope).
-fn enclosing_fn(fns: &[(String, Range<usize>)], idx: usize) -> String {
-    fns.iter()
-        .find(|(_, body)| body.contains(&idx))
-        .map(|(name, _)| name.clone())
-        .unwrap_or_default()
-}
-
-/// A3. Per-function facts first: whether the fn takes any lock, whether it
-/// reads a non-atomic `self` field, and which intra-crate calls it makes.
-/// "Reads unlocked non-atomic state" then propagates through
-/// uniquely-resolved calls (the L5–L7 discipline), and every `if`/`while`
-/// whose condition contains a Relaxed atomic load is checked against its
-/// guarded block.
+/// A3. Per-function facts first: whether the fn takes any lock and whether
+/// it reads a non-atomic `self` field. "Reads unlocked non-atomic state"
+/// then propagates through the calls the call rule follows, and every
+/// `if`/`while` whose condition contains a Relaxed atomic load is checked
+/// against its guarded block.
 fn check_relaxed_gates(
-    prepared: &[PFile],
+    ir: &Ir,
     fields: &BTreeMap<(String, String), FieldInfo>,
     ops: &[OpSite],
     diags: &mut Vec<Diagnostic>,
 ) {
-    struct FnSum {
-        crate_name: String,
-        name: String,
-        has_lock: bool,
-        direct_read: bool,
-        calls: Vec<String>,
-    }
-    let mut sums: Vec<FnSum> = Vec::new();
-    for pf in prepared {
-        for (name, body) in &pf.fns {
-            sums.push(FnSum {
-                crate_name: pf.crate_name.clone(),
-                name: name.clone(),
-                has_lock: has_lock_acquisition(&pf.tokens, body.clone()),
-                direct_read: nonatomic_self_read(pf, fields, body.clone()).is_some(),
-                calls: intra_calls(&pf.tokens, body.clone()),
-            });
-        }
-    }
-
-    // Unique-name resolution, as in the lock graph and durability passes.
-    let mut name_count: HashMap<(&str, &str), usize> = HashMap::new();
-    for s in &sums {
-        *name_count
-            .entry((s.crate_name.as_str(), s.name.as_str()))
-            .or_insert(0) += 1;
-    }
-    let unique: HashMap<(&str, &str), usize> = sums
+    let has_lock: Vec<bool> = ir
+        .fns
         .iter()
-        .enumerate()
-        .filter(|(_, s)| name_count[&(s.crate_name.as_str(), s.name.as_str())] == 1)
-        .map(|(i, s)| ((s.crate_name.as_str(), s.name.as_str()), i))
+        .map(|f| has_lock_acquisition(&ir.files[f.file].tokens, f.body.clone()))
         .collect();
+    let callees: Vec<Vec<usize>> = ir
+        .fns
+        .iter()
+        .map(|f| f.calls.iter().filter_map(|c| c.callee).collect())
+        .collect();
+    let mut unlocked_read: Vec<bool> = ir
+        .fns
+        .iter()
+        .zip(&has_lock)
+        .map(|(f, &locked)| {
+            !locked && nonatomic_self_read(&ir.files[f.file], fields, f.body.clone()).is_some()
+        })
+        .collect();
+    fixpoint(&callees, &mut unlocked_read, |f, caller, &callee| {
+        let grew = callee && !*caller && !has_lock[f];
+        *caller |= grew;
+        grew
+    });
 
-    // Transitive "reads non-atomic state without a lock" (monotone fixpoint).
-    let mut unlocked_read: Vec<bool> = sums.iter().map(|s| !s.has_lock && s.direct_read).collect();
-    loop {
-        let mut changed = false;
-        for (i, s) in sums.iter().enumerate() {
-            if unlocked_read[i] || s.has_lock {
+    for func in &ir.fns {
+        let pf = &ir.files[func.file];
+        let toks = &pf.tokens;
+        let text = |k: usize| toks.get(k).map_or("", |t| t.text.as_str());
+        let mut k = func.body.start;
+        while k < func.body.end {
+            if !matches!(text(k), "if" | "while") {
+                k += 1;
                 continue;
             }
-            let hit = s.calls.iter().any(|c| {
-                unique
-                    .get(&(s.crate_name.as_str(), c.as_str()))
-                    .is_some_and(|&k| unlocked_read[k])
-            });
-            if hit {
-                unlocked_read[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    for (file_idx, pf) in prepared.iter().enumerate() {
-        let toks = &pf.tokens;
-        let text = |k: usize| toks.get(k).map(|t| t.text.as_str()).unwrap_or("");
-        for (_, body) in &pf.fns {
-            let mut k = body.start;
-            while k < body.end {
-                if !matches!(text(k), "if" | "while") {
-                    k += 1;
-                    continue;
-                }
-                // Condition: tokens up to the block's `{` at bracket depth 0.
-                // Bail on `=>` / `;` (match guards, malformed scans).
-                let mut depth = 0i64;
-                let mut cond_end = None;
-                let mut c = k + 1;
-                while c < body.end {
-                    match text(c) {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => depth -= 1,
-                        "{" if depth == 0 => {
-                            cond_end = Some(c);
-                            break;
-                        }
-                        ";" => break,
-                        "=" if text(c + 1) == ">" => break,
-                        _ => {}
+            // Condition: tokens up to the block's `{` at bracket depth 0.
+            // Bail on `=>` / `;` (match guards, malformed scans).
+            let mut depth = 0i64;
+            let mut cond_end = None;
+            let mut c = k + 1;
+            while c < func.body.end {
+                match text(c) {
+                    "(" | "[" => depth += 1,
+                    ")" | "]" => depth -= 1,
+                    "{" if depth == 0 => {
+                        cond_end = Some(c);
+                        break;
                     }
-                    c += 1;
+                    ";" => break,
+                    "=" if text(c + 1) == ">" => break,
+                    _ => {}
                 }
-                let Some(open) = cond_end else {
-                    k += 1;
-                    continue;
-                };
-                let gate = ops.iter().find(|op| {
-                    op.file_idx == file_idx
-                        && op.kind == OpKind::Load
-                        && op.eff == Mo::Relaxed
-                        && op.field.is_some()
-                        && (k..open).contains(&op.dot_idx)
-                });
-                let Some(gate) = gate else {
-                    k = open + 1;
-                    continue;
-                };
-                let Some(block_end) = match_brace(toks, open) else {
-                    k = open + 1;
-                    continue;
-                };
-                let block = open + 1..block_end;
-                // A lock acquisition inside the block means the guarded data
-                // is ordered by the lock, not the atomic.
-                if has_lock_acquisition(toks, block.clone()) {
-                    k = open + 1;
-                    continue;
-                }
-                let field = &gate.field.as_ref().expect("gate is field-resolved").1;
-                let offense = nonatomic_self_read(pf, fields, block.clone())
-                    .map(|(ident, line)| {
-                        format!("a read of non-atomic field `self.{ident}` (line {line})")
-                    })
-                    .or_else(|| {
-                        intra_calls(toks, block.clone()).into_iter().find_map(|c| {
-                            unique
-                                .get(&(pf.crate_name.as_str(), c.as_str()))
-                                .filter(|&&k2| unlocked_read[k2])
-                                .map(|_| {
-                                    format!(
-                                        "`{c}(..)`, which reads non-atomic state without a lock"
-                                    )
-                                })
-                        })
-                    });
-                if let Some(what) = offense {
-                    diags.push(Diagnostic {
-                        rule: Rule::AtomicsOrder,
-                        path: pf.path.clone(),
-                        line: gate.line,
-                        message: format!(
-                            "Relaxed `{field}.load(..)` gates {what}; a Relaxed load \
-                             does not order that access against the writer — load with \
-                             `Acquire` or move the access under a lock (rule A3)"
-                        ),
-                    });
-                }
-                k = open + 1;
+                c += 1;
             }
+            let Some(open) = cond_end else {
+                k += 1;
+                continue;
+            };
+            let gate = ops.iter().find(|op| {
+                op.file_idx == func.file
+                    && op.kind == OpKind::Load
+                    && op.eff == Mo::Relaxed
+                    && op.field.is_some()
+                    && (k..open).contains(&op.dot_idx)
+            });
+            let (Some(gate), Some(block_end)) = (gate, matching(toks, open)) else {
+                k = open + 1;
+                continue;
+            };
+            let block = open + 1..block_end;
+            // A lock acquisition inside the block means the guarded data
+            // is ordered by the lock, not the atomic.
+            if has_lock_acquisition(toks, block.clone()) {
+                k = open + 1;
+                continue;
+            }
+            let field = &gate.field.as_ref().expect("gate is field-resolved").1;
+            let offense = nonatomic_self_read(pf, fields, block.clone())
+                .map(|(ident, line)| {
+                    format!("a read of non-atomic field `self.{ident}` (line {line})")
+                })
+                .or_else(|| {
+                    func.calls
+                        .iter()
+                        .filter(|c| block.contains(&c.at))
+                        .find(|c| c.callee.is_some_and(|callee| unlocked_read[callee]))
+                        .map(|c| {
+                            format!(
+                                "`{}(..)`, which reads non-atomic state without a lock",
+                                c.name
+                            )
+                        })
+                });
+            if let Some(what) = offense {
+                diags.push(Diagnostic {
+                    rule: Rule::AtomicsOrder,
+                    path: pf.path.clone(),
+                    line: gate.line,
+                    message: format!(
+                        "Relaxed `{field}.load(..)` gates {what}; a Relaxed load \
+                         does not order that access against the writer — load with \
+                         `Acquire` or move the access under a lock (rule A3)"
+                    ),
+                });
+            }
+            k = open + 1;
         }
     }
 }
@@ -894,7 +798,7 @@ fn has_lock_acquisition(toks: &[Token], range: Range<usize>) -> bool {
 /// First `self.<field>` access in the range where `<field>` is not an
 /// atomic field and not a method call. Returns `(field, 1-based line)`.
 fn nonatomic_self_read(
-    pf: &PFile,
+    pf: &SourceFile,
     fields: &BTreeMap<(String, String), FieldInfo>,
     range: Range<usize>,
 ) -> Option<(String, usize)> {
@@ -916,50 +820,6 @@ fn nonatomic_self_read(
             continue;
         }
         return Some((ident.to_string(), toks[k].line));
-    }
-    None
-}
-
-/// Intra-crate call candidates in the range: `self.m(..)` method calls and
-/// bare `f(..)` calls (the same surface the durability walker follows).
-fn intra_calls(toks: &[Token], range: Range<usize>) -> Vec<String> {
-    let text = |k: usize| toks.get(k).map(|t| t.text.as_str()).unwrap_or("");
-    let mut out = Vec::new();
-    for k in range {
-        let t = text(k);
-        if t == "."
-            && text(k + 2) == "("
-            && text(k + 1)
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_lowercase())
-        {
-            out.push(text(k + 1).to_string());
-        } else if text(k + 1) == "("
-            && !CALL_KEYWORDS.contains(&t)
-            && t.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-            && k.checked_sub(1)
-                .map(|p| !matches!(text(p), "." | "fn" | "::"))
-                .unwrap_or(true)
-        {
-            out.push(t.to_string());
-        }
-    }
-    out
-}
-
-/// Index of the `}` matching the `{` at `open_idx`.
-fn match_brace(toks: &[Token], open_idx: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(open_idx) {
-        if t.text == "{" {
-            depth += 1;
-        } else if t.text == "}" {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
     }
     None
 }

@@ -22,9 +22,10 @@
 //! | `ack` | `done.store(..)`, `commit_cv.notify_*()` |
 //!
 //! Effects are collected per function in source order, then flattened
-//! through unambiguous intra-crate calls (the same resolution discipline as
-//! the lock graph: a callee is followed only when its name maps to exactly
-//! one function in the crate). The rules:
+//! through calls by the one call rule of the `ir` module, the
+//! same rule the lock graph and the atomics pass follow: `self`-rooted
+//! method calls (index groups included) and unqualified free calls whose
+//! name maps to exactly one function in the crate. The rules:
 //!
 //! - **D1** — no `seqno_publish`/`ack` at a point where the group's
 //!   `wal_append` has not happened yet (a later append in the same
@@ -50,10 +51,8 @@
 
 use std::collections::HashMap;
 
-use crate::lockgraph::{
-    crate_of, for_each_fn, is_engine_file, receiver_self_root_indexed, CALL_KEYWORDS,
-};
-use crate::{test_regions, tokenize, Diagnostic, Rule, Token};
+use crate::ir::{chain_root_line, fixpoint, walk_scopes, Func, Ir, Scope, SourceFile};
+use crate::{Diagnostic, Rule};
 
 /// Receiver idents whose `.append(..)`/`.sync()` calls are WAL writes.
 const WAL_RECEIVERS: &[&str] = &["writer"];
@@ -123,15 +122,8 @@ struct Effect {
 /// One entry of a function's ordered effect sequence.
 enum Item {
     Effect(Effect),
-    Call { name: String },
-}
-
-/// Per-function effect summary.
-struct FnEffects {
-    crate_name: String,
-    name: String,
-    file: String,
-    items: Vec<Item>,
+    /// A resolved call: the callee's index in [`Ir::fns`].
+    Call(usize),
 }
 
 /// An effect in a flattened (call-inlined) sequence.
@@ -220,77 +212,62 @@ impl DurabilityReport {
 
 /// Whether the durability protocol applies to this file: the commit
 /// pipeline (`lsm-core`) and the WAL/storage substrate (`lsm-storage`).
-fn is_protocol_file(path: &str) -> bool {
-    is_engine_file(path) && matches!(crate_of(path), "lsm-core" | "lsm-storage")
+fn is_protocol_file(file: &SourceFile) -> bool {
+    file.engine && matches!(file.crate_name.as_str(), "lsm-core" | "lsm-storage")
 }
 
 /// Runs the durability-order analysis over `(workspace-relative path,
 /// source)` pairs.
 pub fn analyze(files: &[(String, String)]) -> DurabilityReport {
+    from_ir(&Ir::build(files))
+}
+
+/// [`analyze`] over an already-built [`Ir`].
+pub(crate) fn from_ir(ir: &Ir) -> DurabilityReport {
     let mut report = DurabilityReport::default();
 
-    // Pass 1: per-function effect sequences.
-    let mut fns: Vec<FnEffects> = Vec::new();
-    for (path, source) in files {
-        if !is_protocol_file(path) {
-            continue;
-        }
-        let tokens = tokenize(source);
-        let test = test_regions(&tokens);
-        let crate_name = crate_of(path).to_string();
-        for_each_fn(&tokens, &test, |name, _sig, body| {
-            fns.push(walk_fn(path, &crate_name, name, &tokens, body));
-        });
-    }
-
-    // Unambiguous call resolution: a name is followed only when it maps to
-    // exactly one function in the crate.
-    let mut name_count: HashMap<(String, String), usize> = HashMap::new();
-    for f in &fns {
-        *name_count
-            .entry((f.crate_name.clone(), f.name.clone()))
-            .or_insert(0) += 1;
-    }
-    let unique: HashMap<(String, String), usize> = fns
+    // Pass 1: per-function effect sequences (empty outside the protocol).
+    let protocol: Vec<bool> = ir
+        .fns
         .iter()
-        .enumerate()
-        .filter(|(_, f)| name_count[&(f.crate_name.clone(), f.name.clone())] == 1)
-        .map(|(i, f)| ((f.crate_name.clone(), f.name.clone()), i))
+        .map(|f| is_protocol_file(&ir.files[f.file]))
+        .collect();
+    let items: Vec<Vec<Item>> = ir
+        .fns
+        .iter()
+        .zip(&protocol)
+        .map(|(f, &p)| if p { walk_fn(ir, f) } else { Vec::new() })
         .collect();
 
-    // Transitive effectfulness (monotone fixpoint over unique calls).
-    let mut effectful: Vec<bool> = fns
+    // Transitive effectfulness.
+    let callees: Vec<Vec<usize>> = items
         .iter()
-        .map(|f| f.items.iter().any(|i| matches!(i, Item::Effect(_))))
+        .map(|its| {
+            its.iter()
+                .filter_map(|item| match item {
+                    Item::Call(c) => Some(*c),
+                    Item::Effect(_) => None,
+                })
+                .collect()
+        })
         .collect();
-    loop {
-        let mut changed = false;
-        for (i, f) in fns.iter().enumerate() {
-            if effectful[i] {
-                continue;
-            }
-            let hit = f.items.iter().any(|item| match item {
-                Item::Call { name } => unique
-                    .get(&(f.crate_name.clone(), name.clone()))
-                    .is_some_and(|&c| effectful[c]),
-                Item::Effect(_) => false,
-            });
-            if hit {
-                effectful[i] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let mut effectful: Vec<bool> = items
+        .iter()
+        .map(|its| its.iter().any(|i| matches!(i, Item::Effect(_))))
+        .collect();
+    fixpoint(&callees, &mut effectful, |_, caller, &callee| {
+        let grew = callee && !*caller;
+        *caller |= callee;
+        grew
+    });
 
     // Pass 2: D1/D2 over flattened sequences, D3/D4 over direct effects.
     let mut memo: HashMap<usize, Vec<FlatEffect>> = HashMap::new();
-    for i in 0..fns.len() {
-        let flat = flatten(i, &fns, &unique, &mut memo, &mut Vec::new());
+    for f in (0..ir.fns.len()).filter(|&f| protocol[f]) {
+        let flat = flatten(f, ir, &items, &mut memo, &mut Vec::new());
         check_visibility_rules(&flat, &mut report.diagnostics);
-        check_segment_and_manifest_rules(&fns[i], &mut report.diagnostics);
+        let path = &ir.files[ir.fns[f].file].path;
+        check_segment_and_manifest_rules(path, &items[f], &mut report.diagnostics);
     }
 
     // Identical violations re-derived through callers collapse to one.
@@ -302,28 +279,22 @@ pub fn analyze(files: &[(String, String)]) -> DurabilityReport {
         .dedup_by(|a, b| a.path == b.path && a.line == b.line && a.message == b.message);
 
     // The spec: every effectful function's direct sequence.
-    for (i, f) in fns.iter().enumerate() {
-        if !effectful[i] {
+    for (f, func) in ir.fns.iter().enumerate() {
+        if !effectful[f] {
             continue;
         }
-        let mut effects = Vec::new();
-        for item in &f.items {
-            match item {
-                Item::Effect(e) => effects.push(e.kind.label().to_string()),
-                Item::Call { name } => {
-                    let followed = unique
-                        .get(&(f.crate_name.clone(), name.clone()))
-                        .is_some_and(|&c| effectful[c]);
-                    if followed {
-                        effects.push(format!("call:{name}"));
-                    }
-                }
-            }
-        }
+        let effects = items[f]
+            .iter()
+            .filter_map(|item| match item {
+                Item::Effect(e) => Some(e.kind.label().to_string()),
+                Item::Call(c) => effectful[*c].then(|| format!("call:{}", ir.fns[*c].name)),
+            })
+            .collect();
+        let file = &ir.files[func.file];
         report.functions.push(FnSpec {
-            crate_name: f.crate_name.clone(),
-            name: f.name.clone(),
-            file: f.file.clone(),
+            crate_name: file.crate_name.clone(),
+            name: func.name.clone(),
+            file: file.path.clone(),
             effects,
         });
     }
@@ -393,13 +364,12 @@ fn check_visibility_rules(flat: &[FlatEffect], diags: &mut Vec<Diagnostic>) {
 }
 
 /// D3/D4 over one function's direct effects (lock context is per-function).
-fn check_segment_and_manifest_rules(f: &FnEffects, diags: &mut Vec<Diagnostic>) {
-    let effects: Vec<&Effect> = f
-        .items
+fn check_segment_and_manifest_rules(path: &str, items: &[Item], diags: &mut Vec<Diagnostic>) {
+    let effects: Vec<&Effect> = items
         .iter()
         .filter_map(|i| match i {
             Item::Effect(e) => Some(e),
-            Item::Call { .. } => None,
+            Item::Call(_) => None,
         })
         .collect();
 
@@ -416,7 +386,7 @@ fn check_segment_and_manifest_rules(f: &FnEffects, diags: &mut Vec<Diagnostic>) 
         if !named {
             diags.push(Diagnostic {
                 rule: Rule::DurabilityOrder,
-                path: f.file.clone(),
+                path: path.to_string(),
                 line: e.line,
                 message: "fresh WAL segment created under `mem`, but `mem` is released \
                           before a `manifest_persist` names the segment; writers can \
@@ -434,7 +404,7 @@ fn check_segment_and_manifest_rules(f: &FnEffects, diags: &mut Vec<Diagnostic>) 
         match e.kind {
             EffectKind::ManifestPersist if !e.under_manifest => diags.push(Diagnostic {
                 rule: Rule::DurabilityOrder,
-                path: f.file.clone(),
+                path: path.to_string(),
                 line: e.line,
                 message: "manifest `put_meta` outside the `manifest_mx` ticket; \
                           concurrent persists can interleave build and write and a \
@@ -443,7 +413,7 @@ fn check_segment_and_manifest_rules(f: &FnEffects, diags: &mut Vec<Diagnostic>) 
             }),
             EffectKind::ManifestBuild if persists && !e.under_manifest => diags.push(Diagnostic {
                 rule: Rule::DurabilityOrder,
-                path: f.file.clone(),
+                path: path.to_string(),
                 line: e.line,
                 message: "manifest built outside the `manifest_mx` ticket that \
                               persists it; the build/persist pair must be atomic or a \
@@ -455,187 +425,100 @@ fn check_segment_and_manifest_rules(f: &FnEffects, diags: &mut Vec<Diagnostic>) 
     }
 }
 
-/// Inlines unique intra-crate callees into one ordered effect sequence.
-/// Recursive back-edges contribute nothing (the protocol functions are not
-/// recursive; this is a termination guard, not a semantics claim).
+/// Inlines resolved callees into one ordered effect sequence. Recursive
+/// back-edges contribute nothing (the protocol functions are not recursive;
+/// this is a termination guard, not a semantics claim).
 fn flatten(
-    idx: usize,
-    fns: &[FnEffects],
-    unique: &HashMap<(String, String), usize>,
+    f: usize,
+    ir: &Ir,
+    items: &[Vec<Item>],
     memo: &mut HashMap<usize, Vec<FlatEffect>>,
     visiting: &mut Vec<usize>,
 ) -> Vec<FlatEffect> {
-    if let Some(done) = memo.get(&idx) {
+    if let Some(done) = memo.get(&f) {
         return done.clone();
     }
-    if visiting.contains(&idx) {
+    if visiting.contains(&f) {
         return Vec::new();
     }
-    visiting.push(idx);
-    let f = &fns[idx];
+    visiting.push(f);
+    let path = &ir.files[ir.fns[f].file].path;
     let mut out = Vec::new();
-    for item in &f.items {
+    for item in &items[f] {
         match item {
             Item::Effect(e) => out.push(FlatEffect {
                 kind: e.kind,
-                file: f.file.clone(),
+                file: path.clone(),
                 line: e.line,
             }),
-            Item::Call { name } => {
-                if let Some(&callee) = unique.get(&(f.crate_name.clone(), name.clone())) {
-                    if callee != idx {
-                        out.extend(flatten(callee, fns, unique, memo, visiting));
-                    }
-                }
+            Item::Call(callee) if *callee != f => {
+                out.extend(flatten(*callee, ir, items, memo, visiting));
             }
+            Item::Call(_) => {}
         }
     }
     visiting.pop();
-    memo.insert(idx, out.clone());
+    memo.insert(f, out.clone());
     out
 }
 
-/// A live `mem`/`manifest_mx` guard in the walker.
-struct DGuard {
-    /// `true` for `mem`, `false` for `manifest_mx`.
-    is_mem: bool,
-    /// Per-function guard identity (D3 matches create/persist guards).
-    id: usize,
-    /// Binding name, for `drop(name)` tracking.
-    name: Option<String>,
-    /// Brace depth of the binding.
-    depth: i64,
-    /// Expression temporary: dies at the next `;`.
-    temp: bool,
-}
+/// What the walker knows of a live `mem` (`true`) or `manifest_mx`
+/// (`false`) guard, and its per-function identity (D3 matches
+/// create/persist guards).
+type ProtoGuard = (bool, usize);
 
-/// Walks one function body, collecting its ordered durability effects with
-/// `mem`/`manifest_mx` guard context. The scoping machinery mirrors the
-/// lock-graph walker: let-bound guards live until scope exit or
-/// `drop(guard)`, temporaries until the end of the statement.
-#[allow(clippy::too_many_lines)]
-fn walk_fn(
-    path: &str,
-    crate_name: &str,
-    fn_name: &str,
-    toks: &[Token],
-    body: std::ops::Range<usize>,
-) -> FnEffects {
-    let mut out = FnEffects {
-        crate_name: crate_name.to_string(),
-        name: fn_name.to_string(),
-        file: path.to_string(),
-        items: Vec::new(),
-    };
-    let mut guards: Vec<DGuard> = Vec::new();
+/// Walks one function body with the IR's guard-scope walker, collecting
+/// its ordered durability effects with `mem`/`manifest_mx` guard context.
+fn walk_fn(ir: &Ir, func: &Func) -> Vec<Item> {
+    let toks = &ir.files[func.file].tokens;
+    let text = |k: usize| toks.get(k).map_or("", |t| t.text.as_str());
+    let mut items = Vec::new();
     let mut next_guard = 0usize;
-    let mut depth = 0i64;
-    let mut stmt_start = true;
-    let mut pending_let: Option<String> = None;
+    let effect = |scope: &Scope<ProtoGuard>, kind, line| {
+        Item::Effect(Effect {
+            kind,
+            line,
+            mem_guard: scope
+                .guards
+                .iter()
+                .rev()
+                .find(|g| g.data.0)
+                .map(|g| g.data.1),
+            under_manifest: scope.guards.iter().any(|g| !g.data.0),
+        })
+    };
 
-    let text = |k: usize| toks.get(k).map(|t| t.text.as_str()).unwrap_or("");
-
-    let mut i = body.start;
-    while i < body.end {
-        let t = toks[i].text.as_str();
-        match t {
-            "{" => {
-                depth += 1;
-                stmt_start = true;
-                i += 1;
-                continue;
-            }
-            "}" => {
-                depth -= 1;
-                guards.retain(|g| g.depth <= depth && !g.temp);
-                stmt_start = true;
-                pending_let = None;
-                i += 1;
-                continue;
-            }
-            ";" => {
-                guards.retain(|g| !g.temp);
-                stmt_start = true;
-                pending_let = None;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-
-        if t == "drop" && text(i + 1) == "(" {
-            if let Some(victim) = toks.get(i + 2).map(|t| t.text.clone()) {
-                guards.retain(|g| g.name.as_deref() != Some(victim.as_str()));
-            }
-            i += 1;
-            continue;
-        }
-
-        if stmt_start && t == "let" {
-            let mut j = i + 1;
-            if text(j) == "mut" {
-                j += 1;
-            }
-            if let Some(id) = toks.get(j).map(|t| t.text.clone()) {
-                let simple = id.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-                if simple && text(j + 1) == "=" {
-                    pending_let = Some(id);
+    walk_scopes(toks, func.body.clone(), |scope, i| {
+        if text(i) != "." {
+            // Free calls: a manifest builder is an effect; any other call
+            // the call rule follows is a propagation candidate.
+            if let Some(call) = func.call_at(i) {
+                if MANIFEST_BUILDERS.contains(&call.name.as_str()) {
+                    items.push(effect(scope, EffectKind::ManifestBuild, toks[i].line));
+                } else if let Some(callee) = call.callee {
+                    items.push(Item::Call(callee));
                 }
             }
-            stmt_start = false;
-            i += 1;
-            continue;
+            return i + 1;
+        }
+        let m = text(i + 1);
+        let open = text(i + 2) == "(";
+        let argless = open && text(i + 3) == ")";
+        let recv = i.checked_sub(1).map_or("", text);
+
+        // Lock acquisition: only `mem` and `manifest_mx` matter to the
+        // protocol.
+        if argless && matches!(m, "lock" | "read" | "write") {
+            if matches!(recv, "mem" | "manifest_mx") {
+                scope.acquire(toks, i, (recv == "mem", next_guard));
+                next_guard += 1;
+            }
+            return i + 4;
         }
 
-        if t == "." {
-            let m = text(i + 1);
-            let open = text(i + 2) == "(";
-            let argless = open && text(i + 3) == ")";
-            let recv = toks
-                .get(i.wrapping_sub(1))
-                .map(|t| t.text.as_str())
-                .unwrap_or("");
-            let line = chain_root_line(toks, i);
-
-            // Tracked-lock acquisition: only `mem` and `manifest_mx`
-            // matter to the protocol.
-            if argless && matches!(m, "lock" | "read" | "write") {
-                let is_mem = recv == "mem";
-                let is_manifest = recv == "manifest_mx";
-                if is_mem || is_manifest {
-                    let terminal = match text(i + 4) {
-                        ";" => true,
-                        "." => {
-                            matches!(text(i + 5), "unwrap" | "expect")
-                                && text(i + 6) == "("
-                                && forward_close(toks, i + 6)
-                                    .is_some_and(|close| text(close + 1) == ";")
-                        }
-                        _ => false,
-                    };
-                    let name = match (&pending_let, terminal) {
-                        (Some(n), true) if n != "_" => Some(n.clone()),
-                        _ => None,
-                    };
-                    guards.push(DGuard {
-                        is_mem,
-                        id: next_guard,
-                        temp: name.is_none(),
-                        name,
-                        depth,
-                    });
-                    next_guard += 1;
-                }
-                i += 4;
-                stmt_start = false;
-                continue;
-            }
-
-            // Effect classification.
-            let kind = if open
-                && matches!(m, "append" | "append_records")
-                && WAL_RECEIVERS.contains(&recv)
-            {
+        // Effect classification.
+        let kind =
+            if open && matches!(m, "append" | "append_records") && WAL_RECEIVERS.contains(&recv) {
                 Some(EffectKind::WalAppend)
             } else if argless && m == "sync" && WAL_RECEIVERS.contains(&recv) {
                 Some(EffectKind::WalSync)
@@ -659,104 +542,12 @@ fn walk_fn(
             } else {
                 None
             };
-            if let Some(kind) = kind {
-                out.items.push(Item::Effect(Effect {
-                    kind,
-                    line,
-                    mem_guard: guards.iter().rev().find(|g| g.is_mem).map(|g| g.id),
-                    under_manifest: guards.iter().any(|g| !g.is_mem),
-                }));
-                i += 2;
-                stmt_start = false;
-                continue;
-            }
-
-            // Ordinary `self`-rooted method call (through index groups
-            // too: `self.engines[i].commit_batch(..)`): propagation
-            // candidate.
-            if open
-                && !m.is_empty()
-                && m.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                && receiver_self_root_indexed(toks, i).is_some()
-            {
-                out.items.push(Item::Call {
-                    name: m.to_string(),
-                });
-            }
-            i += 2;
-            stmt_start = false;
-            continue;
+        if let Some(kind) = kind {
+            items.push(effect(scope, kind, chain_root_line(toks, i)));
+        } else if let Some(callee) = func.call_at(i).and_then(|c| c.callee) {
+            items.push(Item::Call(callee));
         }
-
-        // Free calls: `ident (` not preceded by `.`, `fn`, or `::` (a
-        // path-qualified call names another type's function — following it
-        // by bare name would fabricate effect edges).
-        if text(i + 1) == "("
-            && !CALL_KEYWORDS.contains(&t)
-            && t.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-            && toks
-                .get(i.wrapping_sub(1))
-                .map(|p| !matches!(p.text.as_str(), "." | "fn" | "::"))
-                .unwrap_or(true)
-        {
-            if MANIFEST_BUILDERS.contains(&t) {
-                out.items.push(Item::Effect(Effect {
-                    kind: EffectKind::ManifestBuild,
-                    line: toks[i].line,
-                    mem_guard: guards.iter().rev().find(|g| g.is_mem).map(|g| g.id),
-                    under_manifest: guards.iter().any(|g| !g.is_mem),
-                }));
-            } else {
-                out.items.push(Item::Call {
-                    name: t.to_string(),
-                });
-            }
-        }
-
-        stmt_start = false;
-        i += 1;
-    }
-    out
-}
-
-/// Line of the outermost token of the receiver chain ending at `dot_idx`,
-/// so effects anchor where the statement starts and rustfmt's
-/// chain-splitting cannot strand an allow-comment. (Shared with the L8
-/// atomics pass, which anchors its sites the same way.)
-pub(crate) fn chain_root_line(toks: &[Token], dot_idx: usize) -> usize {
-    let fallback = toks[dot_idx].line;
-    let mut j = match dot_idx.checked_sub(1) {
-        Some(j) => j,
-        None => return fallback,
-    };
-    loop {
-        let t = toks[j].text.as_str();
-        let is_ident = !t.is_empty() && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-        if !is_ident {
-            return fallback;
-        }
-        match j.checked_sub(1) {
-            Some(p) if toks[p].text == "." => match p.checked_sub(1) {
-                Some(pp) => j = pp,
-                None => return toks[j].line,
-            },
-            _ => return toks[j].line,
-        }
-    }
-}
-
-/// Index of the `)` matching the `(` at `open_idx`.
-pub(crate) fn forward_close(toks: &[Token], open_idx: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(open_idx) {
-        if t.text == "(" {
-            depth += 1;
-        } else if t.text == ")" {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
+        i + 2
+    });
+    items
 }

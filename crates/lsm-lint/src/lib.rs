@@ -44,10 +44,14 @@
 //! Since the build container is offline, parsing is done by a small
 //! hand-rolled tokenizer rather than `syn`; it understands strings, raw
 //! strings, char literals, lifetimes, and nested block comments, and tracks
-//! `#[cfg(test)]` / `#[test]` regions by brace depth.
+//! `#[cfg(test)]` / `#[test]` regions by brace depth. Every rule runs on
+//! one intermediate representation built once per run (the `ir` module):
+//! the tokenized files, one function table, and each function's call sites
+//! found and resolved by one call rule.
 
 pub mod atomics;
 pub mod durability;
+mod ir;
 pub mod lockgraph;
 
 pub use atomics::AtomicsReport;
@@ -57,6 +61,8 @@ pub use lockgraph::{CondvarInfo, LockEdge, LockGraph, LockInfo};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
+
+use ir::{Ir, SourceFile};
 
 /// The rules enforced by the linter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -289,36 +295,41 @@ pub fn lint_tree_all(
         files.push((rel.replace('\\', "/"), source));
     }
 
+    let ir = Ir::build(&files);
+    let graph = lockgraph::from_ir(&ir);
+    let durability = durability::from_ir(&ir);
+    let atomics = atomics::from_ir(&ir);
+
     let mut report = LintReport {
-        files_checked: files.len(),
+        files_checked: ir.files.len(),
         ..LintReport::default()
     };
-    let mut allows_by_file: HashMap<&str, HashMap<usize, Vec<Rule>>> = HashMap::new();
-    for (path, source) in &files {
-        allows_by_file.insert(path, collect_allows(path, source).by_line);
-        let (diags, suppressed) = per_file_diags(path, source);
-        report.diagnostics.extend(diags);
-        report.suppressed += suppressed;
-    }
-
-    let graph = lockgraph::analyze(&files);
-    let durability = durability::analyze(&files);
-    let atomics = atomics::analyze(&files);
-    let analysis_diags = graph
-        .diagnostics
+    let allows: HashMap<&str, Allows> = ir
+        .files
         .iter()
-        .chain(durability.diagnostics.iter())
-        .chain(atomics.diagnostics.iter());
-    for d in analysis_diags {
-        let suppressed = allows_by_file
+        .map(|f| (f.path.as_str(), collect_allows(&f.path, &f.lines)))
+        .collect();
+    let found = ir.files.iter().flat_map(file_rules).chain(
+        graph
+            .diagnostics
+            .iter()
+            .chain(&durability.diagnostics)
+            .chain(&atomics.diagnostics)
+            .cloned(),
+    );
+    for d in found {
+        let suppressed = allows
             .get(d.path.as_str())
-            .is_some_and(|allows| allowed(allows, d.rule, d.line));
+            .is_some_and(|a| allowed(&a.by_line, d.rule, d.line));
         if suppressed {
             report.suppressed += 1;
         } else {
-            report.diagnostics.push(d.clone());
+            report.diagnostics.push(d);
         }
     }
+    report
+        .diagnostics
+        .extend(allows.into_values().flat_map(|a| a.bad));
     report
         .diagnostics
         .sort_by(|a, b| (&a.path, a.line, a.rule.id()).cmp(&(&b.path, b.line, b.rule.id())));
@@ -354,78 +365,61 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<String>) -> std::io::
 
 /// Lints one file's source text. `rel_path` is the workspace-relative path
 /// (forward slashes); it determines which crate's rules apply. Includes a
-/// single-file lock-graph pass (L3/L5/L6); for cross-file lock-order
-/// analysis use [`lint_tree`].
+/// single-file lock-graph pass (L3); for cross-file lock-order analysis use
+/// [`lint_tree`].
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
-    let ctx = FileContext::classify(rel_path);
-    let allows = collect_allows(rel_path, source);
-    let (mut diags, _) = per_file_diags(rel_path, source);
-    if ctx.check_l3 {
-        // Single-file lock-graph pass for raw-lock nesting. (The workspace
-        // pass in `lint_tree` supersedes this with cross-file resolution —
-        // this entry point sees one file, so tracked locks declared
-        // elsewhere in the crate are unknown to it.)
-        let single = lockgraph::analyze(&[(rel_path.to_string(), source.to_string())]);
+    let ir = Ir::build(&[(rel_path.to_string(), source.to_string())]);
+    let file = &ir.files[0];
+    let allows = collect_allows(rel_path, &file.lines);
+    let mut diags = file_rules(file);
+    if file.engine {
+        // This entry point sees one file, so tracked locks declared
+        // elsewhere in the crate are unknown to it: keep raw-lock nesting
+        // only, which needs no cross-file resolution.
         diags.extend(
-            single
+            lockgraph::from_ir(&ir)
                 .diagnostics
                 .into_iter()
                 .filter(|d| matches!(d.rule, Rule::LockNesting)),
         );
     }
-    diags.retain(|d| d.rule == Rule::BadAllow || !allowed(&allows.by_line, d.rule, d.line));
+    diags.retain(|d| !allowed(&allows.by_line, d.rule, d.line));
+    diags.extend(allows.bad);
     diags.sort_by(|a, b| (a.line, a.rule.id()).cmp(&(b.line, b.rule.id())));
     diags
 }
 
-/// The strictly per-file rules (L1/L2/L4), allow-filtered, plus any L0
-/// `bad-allow` findings (never filtered: a malformed marker cannot excuse
-/// itself). Lock-graph rules (L3/L5/L6) come from [`lockgraph::analyze`],
-/// L7 from [`durability::analyze`], L8 from [`atomics::analyze`]. Returns
-/// (remaining diagnostics, suppressed count).
-fn per_file_diags(rel_path: &str, source: &str) -> (Vec<Diagnostic>, usize) {
-    let ctx = FileContext::classify(rel_path);
-    let allows = collect_allows(rel_path, source);
-    let tokens = tokenize(source);
-    let test_lines = test_regions(&tokens);
-
+/// The strictly per-file rules (L1/L2/L4), before allow-filtering.
+/// Lock-graph rules (L3/L5/L6) come from [`lockgraph`], L7 from
+/// [`durability`], L8 from [`atomics`], and L0 from the allow markers.
+fn file_rules(file: &SourceFile) -> Vec<Diagnostic> {
+    let ctx = FileContext::classify(&file.path);
     let mut diags = Vec::new();
     if ctx.check_l1 || ctx.check_l2 {
-        check_token_rules(rel_path, &ctx, &tokens, &test_lines, &mut diags);
+        check_token_rules(&file.path, &ctx, &file.tokens, &file.test, &mut diags);
     }
     if ctx.check_l4 {
-        check_knob_docs(rel_path, source, &mut diags);
+        check_knob_docs(&file.path, &file.lines, &mut diags);
     }
-    let before = diags.len();
-    diags.retain(|d| !allowed(&allows.by_line, d.rule, d.line));
-    let suppressed = before - diags.len();
-    diags.extend(allows.bad.iter().cloned());
-    (diags, suppressed)
+    diags
 }
 
-/// Which rules apply to a given file, derived from its path.
+/// Which per-file rules apply to a given file, derived from its path.
 struct FileContext {
     check_l1: bool,
     check_l2: bool,
-    check_l3: bool,
     check_l4: bool,
 }
 
 impl FileContext {
     fn classify(rel_path: &str) -> FileContext {
-        let crate_name = rel_path
-            .strip_prefix("crates/")
-            .and_then(|rest| rest.split('/').next())
-            .unwrap_or("lsm-lab");
+        let crate_name = ir::crate_of(rel_path);
         // Integration tests, benches, and examples are exercise code, not
         // the engine: the architectural rules target library sources only.
-        let non_engine = rel_path
-            .split('/')
-            .any(|c| c == "tests" || c == "benches" || c == "examples" || c == "fixtures");
+        let engine = ir::is_engine_file(rel_path);
         FileContext {
-            check_l1: !non_engine && !L1_EXEMPT_CRATES.contains(&crate_name),
-            check_l2: !non_engine && L2_HOT_CRATES.contains(&crate_name),
-            check_l3: !non_engine,
+            check_l1: engine && !L1_EXEMPT_CRATES.contains(&crate_name),
+            check_l2: engine && L2_HOT_CRATES.contains(&crate_name),
             check_l4: L4_KNOB_FILES.iter().any(|f| rel_path.ends_with(f)),
         }
     }
@@ -448,8 +442,7 @@ struct Allows {
 /// `allow(atomics-order)` without a rationale are reported as L0
 /// `bad-allow` and ignored; L0 itself cannot be suppressed (an allow-list
 /// naming `bad-allow` is malformed).
-fn collect_allows(rel_path: &str, source: &str) -> Allows {
-    let lines: Vec<&str> = source.lines().collect();
+fn collect_allows(rel_path: &str, lines: &[String]) -> Allows {
     let mut allows = Allows {
         by_line: HashMap::new(),
         bad: Vec::new(),
@@ -497,7 +490,7 @@ fn collect_allows(rel_path: &str, source: &str) -> Allows {
                         .into(),
                 }),
                 Some(r @ (Rule::DurabilityOrder | Rule::AtomicsOrder))
-                    if !has_rationale(&lines, idx, rest) =>
+                    if !has_rationale(lines, idx, rest) =>
                 {
                     allows.bad.push(Diagnostic {
                         rule: Rule::BadAllow,
@@ -532,7 +525,7 @@ fn known_rules() -> String {
 /// `allow(atomics-order)`) on `lines[idx]` carries one: prose after the
 /// marker's closing parenthesis, or a plain `//` comment (not itself a
 /// marker) on the line above.
-fn has_rationale(lines: &[&str], idx: usize, rest_after_colon: &str) -> bool {
+fn has_rationale(lines: &[String], idx: usize, rest_after_colon: &str) -> bool {
     if let Some(close) = rest_after_colon.find(')') {
         let trailing = rest_after_colon[close + 1..]
             .trim_start_matches(['-', ':', ';', ',', '.', '—', ' '].as_slice());
@@ -752,7 +745,13 @@ fn skip_string(chars: &[char], mut i: usize, line: &mut usize) -> usize {
     i += 1;
     while i < chars.len() {
         match chars[i] {
-            '\\' => i += 2,
+            // An escaped newline is a string continuation: still a line.
+            '\\' => {
+                if chars.get(i + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             '\n' => {
                 *line += 1;
                 i += 1;
@@ -925,8 +924,7 @@ fn check_token_rules(
 
 /// Checks that every `pub` field of every `pub struct` in a knob file is
 /// preceded by a `///` doc comment. Works on raw lines so comments survive.
-fn check_knob_docs(rel_path: &str, source: &str, diags: &mut Vec<Diagnostic>) {
-    let lines: Vec<&str> = source.lines().collect();
+fn check_knob_docs(rel_path: &str, lines: &[String], diags: &mut Vec<Diagnostic>) {
     let mut in_struct = false;
     let mut brace_depth = 0i64;
     for (idx, raw) in lines.iter().enumerate() {
@@ -1122,6 +1120,17 @@ mod tests {
     fn raw_strings_and_lifetimes_tokenize() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { let _ = r#\"std::fs \"quoted\" \"#; x }";
         assert!(lint("crates/lsm-core/src/db.rs", src).is_empty());
+    }
+
+    #[test]
+    fn string_continuations_keep_line_numbers() {
+        // Line 1 continues its string onto line 2 with `\`-newline; line 4
+        // does the same inside a byte string.
+        let src = "f(\"a\\\n   b\");\ng(r\"x\ny\", b\"c\\\nd\");\nh();\n";
+        let toks = tokenize(src);
+        let line_of = |name: &str| toks.iter().find(|t| t.text == name).map(|t| t.line);
+        assert_eq!(line_of("g"), Some(3));
+        assert_eq!(line_of("h"), Some(6));
     }
 
     #[test]

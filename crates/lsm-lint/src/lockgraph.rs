@@ -27,22 +27,30 @@
 //!    sites (`field: OrderedMutex::new(ranks::CONST, ..)`); a file with a
 //!    single tracked field and a single un-prefixed construction (the
 //!    `Vec<OrderedMutex<_>>` shard pattern) binds by elimination.
-//! 4. Function bodies are walked with guard-liveness tracking: let-bound
-//!    guards live until scope exit or `drop(guard)`, expression temporaries
-//!    until the end of the statement. Acquiring lock B while guard A is
-//!    live records edge A → B.
-//! 5. Acquisition sets and does-I/O flags propagate through direct
-//!    intra-crate calls, but only when the callee name resolves to exactly
-//!    one function definition in the crate — ambiguous names (trait
-//!    methods, `new`, `insert`, …) are never followed, which keeps dynamic
-//!    dispatch from fabricating edges.
+//! 4. Function bodies are walked with the `ir` module's guard-scope
+//!    walker: let-bound guards live until scope exit or `drop(guard)`,
+//!    expression temporaries until the end of the statement. Acquiring
+//!    lock B while guard A is live records edge A → B.
+//! 5. Acquisition sets and does-I/O flags propagate through calls by the
+//!    one call rule of the `ir` module: `self`-rooted method calls
+//!    (through index groups too, so `self.engines[i].commit_batch(..)`
+//!    carries every engine lock a cross-shard commit takes under
+//!    `epoch_mx`) and unqualified free calls, when the callee name maps to
+//!    exactly one function in the crate. Path-qualified calls, calls on
+//!    other receivers and ambiguous names (trait methods, `new`, `insert`,
+//!    …) are never followed, which keeps dynamic dispatch from fabricating
+//!    edges.
 //!
 //! The resulting hierarchy is emitted as `lock_order.json` (see
 //! [`LockGraph::spec_json`]) and checked in at the workspace root.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use crate::{test_regions, tokenize, Diagnostic, Rule, Token};
+use crate::ir::{
+    fixpoint, matching, receiver_ident, receiver_self_root, walk_scopes, Call, Func, Guard, Ir,
+    Scope, SourceFile,
+};
+use crate::{Diagnostic, Rule, Token};
 
 /// Files allowed to perform I/O while holding their internal locks: the
 /// storage substrate serializes file-table access by design.
@@ -76,12 +84,6 @@ const IO_METHODS: &[&str] = &[
 /// Backend methods that are I/O only when called with arguments (argless
 /// `.read()`/`.write()` are lock acquisitions, argless `.len()` is `Vec`).
 const IO_METHODS_WITH_ARGS: &[&str] = &["read", "write", "len"];
-
-/// Idents that look like calls but are control flow or common macros.
-pub(crate) const CALL_KEYWORDS: &[&str] = &[
-    "if", "while", "match", "for", "return", "in", "as", "loop", "move", "fn", "let", "else",
-    "impl", "where", "unsafe", "break", "continue", "drop", "Some", "None", "Ok", "Err",
-];
 
 /// One lock node of the graph.
 #[derive(Debug, Clone)]
@@ -225,43 +227,34 @@ impl LockGraph {
 /// pairs. Files under `tests/`, `benches/`, `examples/`, and `fixtures/`
 /// are skipped, as are `#[cfg(test)]` regions inside engine files.
 pub fn analyze(files: &[(String, String)]) -> LockGraph {
+    from_ir(&Ir::build(files))
+}
+
+/// [`analyze`] over an already-built [`Ir`].
+pub(crate) fn from_ir(ir: &Ir) -> LockGraph {
     let mut graph = LockGraph::default();
 
     // Pass 0: the declared rank table.
-    let ranks: HashMap<String, (String, u32)> = files
+    let ranks: HashMap<String, (String, u32)> = ir
+        .files
         .iter()
-        .find(|(p, _)| p.ends_with("lsm-sync/src/ranks.rs"))
-        .map(|(_, src)| parse_rank_consts(src))
+        .find(|f| f.path.ends_with("lsm-sync/src/ranks.rs"))
+        .map(|f| parse_rank_consts(&f.lines.join("\n")))
         .unwrap_or_default();
-
-    // Tokenize every engine file once.
-    let prepared: Vec<FileTokens> = files
-        .iter()
-        .filter(|(path, _)| is_engine_file(path))
-        .map(|(path, source)| {
-            let tokens = tokenize(source);
-            let test = test_regions(&tokens);
-            FileTokens {
-                path: path.clone(),
-                crate_name: crate_of(path).to_string(),
-                tokens,
-                test,
-            }
-        })
-        .collect();
+    let engine: Vec<&SourceFile> = ir.files.iter().filter(|f| f.engine).collect();
 
     // Pass 1: lock fields, rank bindings, condvar fields.
     let mut locks: Vec<LockInfo> = Vec::new();
     let mut lock_index: HashMap<(String, String), usize> = HashMap::new();
-    for file in &prepared {
+    for file in &engine {
         discover_lock_fields(file, &mut locks, &mut lock_index);
     }
     let mut condvars: Vec<CondvarInfo> = Vec::new();
     let mut cv_index: HashMap<(String, String), usize> = HashMap::new();
-    for file in &prepared {
+    for file in &engine {
         discover_condvars(file, &mut condvars, &mut cv_index);
     }
-    for file in &prepared {
+    for file in &engine {
         bind_ranks(
             file,
             &ranks,
@@ -286,30 +279,27 @@ pub fn analyze(files: &[(String, String)]) -> LockGraph {
     }
 
     // Pass 2: accessor functions returning lock references.
-    let mut accessors: HashMap<(String, String), usize> = HashMap::new();
-    for file in &prepared {
-        discover_accessors(file, &locks, &lock_index, &mut accessors);
-    }
+    let accessors = discover_accessors(ir, &lock_index);
 
     // Pass 3: walk every function body.
-    let mut fns: Vec<FnSummary> = Vec::new();
-    for file in &prepared {
-        walk_file(
-            file,
-            &locks,
-            &lock_index,
-            &cv_index,
-            &accessors,
-            &mut fns,
-            &mut graph.diagnostics,
-        );
-    }
+    let known = Known {
+        locks: &locks,
+        index: &lock_index,
+        cv_index: &cv_index,
+        accessors: &accessors,
+    };
+    let fns: Vec<FnSummary> = ir
+        .fns
+        .iter()
+        .map(|f| walk_fn(ir, f, &known, &mut graph.diagnostics))
+        .collect();
+    let path_of = |f: usize| &ir.files[ir.fns[f].file].path;
 
     // Pass 3.5: bind each condvar to the mutex its wait sites pair it with.
     // Two different mutexes for one condvar is itself a protocol bug (the
     // waiters race on distinct queues), reported as L5.
-    for f in &fns {
-        for &(cv, mutex, ref file, line) in &f.cv_waits {
+    for (f, summary) in fns.iter().enumerate() {
+        for &(cv, mutex, line) in &summary.cv_waits {
             condvars[cv].wait_sites += 1;
             let Some(mx) = mutex else { continue };
             let mx_id = locks[mx].id.clone();
@@ -317,7 +307,7 @@ pub fn analyze(files: &[(String, String)]) -> LockGraph {
                 None => condvars[cv].mutex = Some(mx_id),
                 Some(existing) if *existing != mx_id => graph.diagnostics.push(Diagnostic {
                     rule: Rule::LockOrder,
-                    path: file.clone(),
+                    path: path_of(f).clone(),
                     line,
                     message: format!(
                         "condvar `{}` is waited on with guards of both `{existing}` and \
@@ -328,7 +318,7 @@ pub fn analyze(files: &[(String, String)]) -> LockGraph {
                 Some(_) => {}
             }
         }
-        for &cv in &f.cv_notifies {
+        for &cv in &summary.cv_notifies {
             condvars[cv].notify_sites += 1;
         }
     }
@@ -347,21 +337,25 @@ pub fn analyze(files: &[(String, String)]) -> LockGraph {
         }
     }
 
-    // Pass 4: propagate acquisitions and does-I/O through unambiguous
-    // intra-crate calls (fixpoint).
-    let mut name_count: HashMap<(String, String), usize> = HashMap::new();
-    for f in &fns {
-        *name_count
-            .entry((f.crate_name.clone(), f.name.clone()))
-            .or_insert(0) += 1;
-    }
-    let unique: HashMap<(String, String), usize> = fns
+    // Pass 4: each function's transitive acquisition set and does-I/O flag.
+    let callees: Vec<Vec<usize>> = fns
         .iter()
-        .enumerate()
-        .filter(|(_, f)| name_count[&(f.crate_name.clone(), f.name.clone())] == 1)
-        .map(|(i, f)| ((f.crate_name.clone(), f.name.clone()), i))
+        .map(|f| f.calls.iter().map(|c| c.callee).collect())
         .collect();
-    let (acquired, does_io) = propagate(&fns, &unique);
+    let mut reach: Vec<(BTreeSet<usize>, bool)> = fns
+        .iter()
+        .map(|f| (f.direct_acquired.iter().copied().collect(), f.direct_io))
+        .collect();
+    fixpoint(
+        &callees,
+        &mut reach,
+        |_, (acq, io), (callee_acq, callee_io)| {
+            let before = (acq.len(), *io);
+            acq.extend(callee_acq.iter().copied());
+            *io |= *callee_io;
+            before != (acq.len(), *io)
+        },
+    );
 
     // Pass 5: edges — direct plus call-propagated — and L6 at call sites.
     let mut edge_first: BTreeMap<(String, String), (String, usize)> = BTreeMap::new();
@@ -370,31 +364,30 @@ pub fn analyze(files: &[(String, String)]) -> LockGraph {
             .entry((locks[from].id.clone(), locks[to].id.clone()))
             .or_insert_with(|| (file.to_string(), line));
     };
-    for f in &fns {
-        for &(held, acq, ref file, line) in &f.direct_edges {
-            record(held, acq, file, line);
+    for (f, summary) in fns.iter().enumerate() {
+        let path = path_of(f);
+        for &(held, acq, line) in &summary.direct_edges {
+            record(held, acq, path, line);
         }
-        for call in &f.calls {
-            let Some(&callee) = unique.get(&(f.crate_name.clone(), call.name.clone())) else {
-                continue;
-            };
+        for call in &summary.calls {
+            let (acquired, does_io) = &reach[call.callee];
             for &held in &call.held {
-                for &acq in &acquired[callee] {
+                for &acq in acquired {
                     if held != acq {
-                        record(held, acq, &call.file, call.line);
+                        record(held, acq, path, call.line);
                     }
                 }
             }
-            if call.guard_live && does_io[callee] && !is_io_exempt(&call.file) {
+            if call.guard_live && *does_io && !is_io_exempt(path) {
                 graph.diagnostics.push(Diagnostic {
                     rule: Rule::IoUnderLock,
-                    path: call.file.clone(),
+                    path: path.clone(),
                     line: call.line,
                     message: format!(
                         "call to `{}` (which performs blocking backend I/O) while `{}` \
                          is held; drop the guard first, or annotate with \
                          `// lsm-lint: allow(io-under-lock)` and a rationale",
-                        call.name,
+                        ir.fns[call.callee].name,
                         call.held_name.as_deref().unwrap_or("a lock"),
                     ),
                 });
@@ -468,25 +461,6 @@ fn is_io_exempt(path: &str) -> bool {
     L6_EXEMPT_FILES.iter().any(|f| path.ends_with(f))
 }
 
-pub(crate) fn is_engine_file(path: &str) -> bool {
-    !path
-        .split('/')
-        .any(|c| c == "tests" || c == "benches" || c == "examples" || c == "fixtures")
-}
-
-pub(crate) fn crate_of(path: &str) -> &str {
-    path.strip_prefix("crates/")
-        .and_then(|rest| rest.split('/').next())
-        .unwrap_or("lsm-lab")
-}
-
-struct FileTokens {
-    path: String,
-    crate_name: String,
-    tokens: Vec<Token>,
-    test: Vec<bool>,
-}
-
 // ---------------------------------------------------------------------------
 // Pass 0: rank constants
 // ---------------------------------------------------------------------------
@@ -547,7 +521,7 @@ fn lock_kind(type_name: &str) -> Option<(&'static str, bool)> {
 /// must be followed by `<` — and reference types (`&LockType<..>`, i.e.
 /// accessor signatures) are rejected during the back-scan.
 fn discover_lock_fields(
-    file: &FileTokens,
+    file: &SourceFile,
     locks: &mut Vec<LockInfo>,
     index: &mut HashMap<(String, String), usize>,
 ) {
@@ -620,7 +594,7 @@ fn field_of_type_token(toks: &[Token], type_idx: usize) -> Option<String> {
 /// the primitive, so its inner `parking_lot::Condvar` field is not a
 /// protocol participant.
 fn discover_condvars(
-    file: &FileTokens,
+    file: &SourceFile,
     condvars: &mut Vec<CondvarInfo>,
     index: &mut HashMap<(String, String), usize>,
 ) {
@@ -659,7 +633,7 @@ fn discover_condvars(
 /// single tracked field is built without a field prefix (shard vectors)
 /// binds to the file's single construction constant by elimination.
 fn bind_ranks(
-    file: &FileTokens,
+    file: &SourceFile,
     ranks: &HashMap<String, (String, u32)>,
     locks: &mut [LockInfo],
     index: &HashMap<(String, String), usize>,
@@ -741,7 +715,7 @@ fn bind_ranks(
 
 #[allow(clippy::too_many_arguments)]
 fn apply_binding(
-    file: &FileTokens,
+    file: &SourceFile,
     field: &str,
     rank_const: &str,
     line: usize,
@@ -793,97 +767,44 @@ fn apply_binding(
 /// &OrderedMutex<..>`) and maps them to the lock field their body indexes,
 /// so `self.shard_for(key).lock()` resolves like a field access.
 fn discover_accessors(
-    file: &FileTokens,
-    locks: &[LockInfo],
+    ir: &Ir,
     index: &HashMap<(String, String), usize>,
-    accessors: &mut HashMap<(String, String), usize>,
-) {
-    for_each_fn(&file.tokens, &file.test, |name, sig, body| {
-        let returns_lock = file.tokens[sig.clone()]
-            .windows(2)
-            .any(|w| w[0].text == "-" && w[1].text == ">")
-            && file.tokens[sig]
-                .iter()
-                .any(|t| lock_kind(&t.text).is_some());
+) -> HashMap<(String, String), usize> {
+    let mut accessors = HashMap::new();
+    for f in &ir.fns {
+        let file = &ir.files[f.file];
+        let sig = &file.tokens[f.sig.clone()];
+        let returns_lock = sig.windows(2).any(|w| w[0].text == "-" && w[1].text == ">")
+            && sig.iter().any(|t| lock_kind(&t.text).is_some());
         if !returns_lock {
-            return;
+            continue;
         }
-        let field = file.tokens[body]
+        let field = file.tokens[f.body.clone()]
             .iter()
             .rev()
             .find_map(|t| index.get(&(file.crate_name.clone(), t.text.clone())));
         if let Some(&idx) = field {
-            let _ = &locks[idx];
-            accessors.insert((file.crate_name.clone(), name.to_string()), idx);
+            accessors.insert((file.crate_name.clone(), f.name.clone()), idx);
         }
-    });
-}
-
-/// Iterates function items: `cb(name, signature token range, body token
-/// range)`. Bodiless trait signatures and test-region functions are
-/// skipped; nested items are visited as part of the enclosing body.
-pub(crate) fn for_each_fn(
-    tokens: &[Token],
-    test: &[bool],
-    mut cb: impl FnMut(&str, std::ops::Range<usize>, std::ops::Range<usize>),
-) {
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if test[i] || tokens[i].text != "fn" {
-            i += 1;
-            continue;
-        }
-        let Some(name_tok) = tokens.get(i + 1) else {
-            break;
-        };
-        let name = name_tok.text.clone();
-        // Find the body `{` (or `;` for a bodiless signature).
-        let mut j = i + 2;
-        let mut body_start = None;
-        while j < tokens.len() {
-            match tokens[j].text.as_str() {
-                "{" => {
-                    body_start = Some(j);
-                    break;
-                }
-                ";" => break,
-                _ => j += 1,
-            }
-        }
-        let Some(start) = body_start else {
-            i = j + 1;
-            continue;
-        };
-        // Match the body's closing brace.
-        let mut depth = 0i64;
-        let mut end = start;
-        for (k, t) in tokens.iter().enumerate().skip(start) {
-            match t.text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = k;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        cb(&name, i + 2..start, start..end + 1);
-        // Continue *inside* the body so nested fns are also visited.
-        i = start + 1;
     }
+    accessors
 }
 
 // ---------------------------------------------------------------------------
 // Pass 3: function-body walking
 // ---------------------------------------------------------------------------
 
-/// A call site recorded for propagation.
+/// What receivers resolve against while walking bodies.
+struct Known<'a> {
+    locks: &'a [LockInfo],
+    index: &'a HashMap<(String, String), usize>,
+    cv_index: &'a HashMap<(String, String), usize>,
+    accessors: &'a HashMap<(String, String), usize>,
+}
+
+/// A resolved call recorded for propagation.
 struct CallSite {
-    name: String,
-    file: String,
+    callee: usize,
     line: usize,
     /// Tracked locks held when the call is made.
     held: Vec<usize>,
@@ -894,411 +815,212 @@ struct CallSite {
 }
 
 /// Per-function facts feeding the fixpoint.
+#[derive(Default)]
 struct FnSummary {
-    crate_name: String,
-    name: String,
     /// Locks this function acquires directly.
     direct_acquired: Vec<usize>,
     /// Whether it performs backend I/O directly.
     direct_io: bool,
-    /// (held, acquired, file, line) edges observed in the body.
-    direct_edges: Vec<(usize, usize, String, usize)>,
-    /// Condvar wait sites: (condvar, paired mutex if resolved, file, line).
-    cv_waits: Vec<(usize, Option<usize>, String, usize)>,
+    /// (held, acquired, line) edges observed in the body.
+    direct_edges: Vec<(usize, usize, usize)>,
+    /// Condvar wait sites: (condvar, paired mutex if resolved, line).
+    cv_waits: Vec<(usize, Option<usize>, usize)>,
     /// Condvars this function notifies.
     cv_notifies: Vec<usize>,
     calls: Vec<CallSite>,
 }
 
-/// A live guard in the walker.
-struct Guard {
-    /// Known lock index, if the receiver resolved.
-    lock: Option<usize>,
-    /// Binding name, for `drop(name)` tracking.
-    name: Option<String>,
-    /// Brace depth of the binding — the guard dies when scope unwinds past.
-    depth: i64,
-    /// Expression temporary: dies at the next `;` or block close.
-    temp: bool,
-    line: usize,
-}
+/// What the walker knows of a live guard: its lock, if the receiver
+/// resolved, and the line it was acquired at.
+type Held = (Option<usize>, usize);
 
-#[allow(clippy::too_many_arguments)]
-fn walk_file(
-    file: &FileTokens,
-    locks: &[LockInfo],
-    index: &HashMap<(String, String), usize>,
-    cv_index: &HashMap<(String, String), usize>,
-    accessors: &HashMap<(String, String), usize>,
-    fns: &mut Vec<FnSummary>,
-    diags: &mut Vec<Diagnostic>,
-) {
-    for_each_fn(&file.tokens, &file.test, |name, _sig, body| {
-        let summary = walk_fn(file, name, body, locks, index, cv_index, accessors, diags);
-        fns.push(summary);
-    });
-}
-
-fn display_name(locks: &[LockInfo], idx: usize, ranks_known: bool) -> String {
+fn display_name(locks: &[LockInfo], idx: usize) -> String {
     let l = &locks[idx];
-    if ranks_known {
-        if let Some(c) = &l.rank_const {
-            return format!("{} ({c})", l.id);
-        }
+    match &l.rank_const {
+        Some(c) => format!("{} ({c})", l.id),
+        None => l.id.clone(),
     }
-    l.id.clone()
 }
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn walk_fn(
-    file: &FileTokens,
-    fn_name: &str,
-    body: std::ops::Range<usize>,
-    locks: &[LockInfo],
-    index: &HashMap<(String, String), usize>,
-    cv_index: &HashMap<(String, String), usize>,
-    accessors: &HashMap<(String, String), usize>,
-    diags: &mut Vec<Diagnostic>,
-) -> FnSummary {
+#[allow(clippy::too_many_lines)]
+fn walk_fn(ir: &Ir, func: &Func, known: &Known, diags: &mut Vec<Diagnostic>) -> FnSummary {
+    let file = &ir.files[func.file];
     let toks = &file.tokens;
-    let crate_name = &file.crate_name;
-    let mut summary = FnSummary {
-        crate_name: crate_name.clone(),
-        name: fn_name.to_string(),
-        direct_acquired: Vec::new(),
-        direct_io: false,
-        direct_edges: Vec::new(),
-        cv_waits: Vec::new(),
-        cv_notifies: Vec::new(),
-        calls: Vec::new(),
-    };
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut aliases: HashMap<String, usize> = HashMap::new();
-    let mut depth = 0i64;
-    let mut stmt_start = true;
-    // Pending `let IDENT =` binding for the current statement.
-    let mut pending_let: Option<String> = None;
-
-    let field_of = |ident: &str| index.get(&(crate_name.clone(), ident.to_string())).copied();
-    let cv_of = |ident: &str| {
-        cv_index
-            .get(&(crate_name.clone(), ident.to_string()))
+    let locks = known.locks;
+    let text = |k: usize| toks.get(k).map_or("", |t| t.text.as_str());
+    let field_of = |ident: &str| {
+        known
+            .index
+            .get(&(file.crate_name.clone(), ident.to_string()))
             .copied()
     };
+    let cv_of = |ident: &str| {
+        known
+            .cv_index
+            .get(&(file.crate_name.clone(), ident.to_string()))
+            .copied()
+    };
+    let mut summary = FnSummary::default();
+    let mut aliases: HashMap<String, usize> = HashMap::new();
 
-    let mut i = body.start;
-    while i < body.end {
-        let t = toks[i].text.as_str();
-        match t {
-            "{" => {
-                depth += 1;
-                stmt_start = true;
-                i += 1;
-                continue;
-            }
-            "}" => {
-                depth -= 1;
-                guards.retain(|g| g.depth <= depth && !g.temp);
-                stmt_start = true;
-                pending_let = None;
-                i += 1;
-                continue;
-            }
-            ";" => {
-                guards.retain(|g| !g.temp);
-                stmt_start = true;
-                pending_let = None;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-
-        // `drop(name)` releases a named guard.
-        if t == "drop" && toks.get(i + 1).map(|t| t.text.as_str()) == Some("(") {
-            if let Some(victim) = toks.get(i + 2).map(|t| t.text.clone()) {
-                guards.retain(|g| g.name.as_deref() != Some(victim.as_str()));
-            }
-            i += 1;
-            continue;
-        }
-
-        // Statement-leading `let [mut] IDENT =`.
-        if stmt_start && t == "let" {
-            let mut j = i + 1;
-            if toks.get(j).map(|t| t.text.as_str()) == Some("mut") {
-                j += 1;
-            }
-            let ident = toks.get(j).map(|t| t.text.clone());
-            if let Some(id) = ident {
-                let simple = id.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-                if simple && toks.get(j + 1).map(|t| t.text.as_str()) == Some("=") {
-                    pending_let = Some(id);
-                    // Alias: `let x = self.accessor(..);` / `let x = &self.field;`
-                    // (resolved below if no acquisition claims the binding).
-                }
-            }
-            stmt_start = false;
-            i += 1;
-            continue;
-        }
+    walk_scopes(toks, func.body.clone(), |scope: &mut Scope<Held>, i| {
+        let t = text(i);
 
         // Statement-leading `for PAT in <iterable> {` — alias a simple
         // pattern to the lock field the iterable mentions.
-        if stmt_start && t == "for" {
-            let pat = toks.get(i + 1).map(|t| t.text.clone());
-            if let Some(p) = pat {
-                if toks.get(i + 2).map(|t| t.text.as_str()) == Some("in") {
-                    let mut j = i + 3;
-                    let mut found = None;
-                    while j < body.end && toks[j].text != "{" {
-                        if let Some(idx) = field_of(&toks[j].text) {
-                            found = Some(idx);
-                        }
-                        j += 1;
-                    }
-                    if let (Some(idx), true) = (found, p != "_") {
-                        aliases.insert(p, idx);
-                    }
+        if scope.stmt_start && t == "for" {
+            let pat = text(i + 1);
+            if text(i + 2) == "in" && pat != "_" {
+                let iterable = (i + 3..func.body.end).take_while(|&j| toks[j].text != "{");
+                if let Some(idx) = iterable.filter_map(|j| field_of(&toks[j].text)).last() {
+                    aliases.insert(pat.to_string(), idx);
                 }
             }
-            stmt_start = false;
-            i += 1;
-            continue;
+            return i + 1;
         }
 
         // Closure parameter alias: `self.shards.iter().map(|s| s.lock()..)`.
         if t == "|"
-            && toks.get(i + 2).map(|t| t.text.as_str()) == Some("|")
-            && toks
-                .get(i.wrapping_sub(1))
-                .is_some_and(|p| p.text == "(" || p.text == ",")
+            && text(i + 2) == "|"
+            && i.checked_sub(1)
+                .is_some_and(|p| matches!(text(p), "(" | ","))
         {
-            if let Some(param) = toks.get(i + 1).map(|t| t.text.clone()) {
-                if param != "_" {
-                    // Nearest preceding lock-field mention in this statement.
-                    let mut j = i;
-                    while j > body.start {
-                        j -= 1;
-                        match toks[j].text.as_str() {
-                            ";" | "{" | "}" => break,
-                            other => {
-                                if let Some(idx) = field_of(other) {
-                                    aliases.insert(param, idx);
-                                    break;
-                                }
-                            }
-                        }
-                    }
+            let param = text(i + 1);
+            if param != "_" {
+                // Nearest preceding lock-field mention in this statement.
+                let found = (func.body.start..i)
+                    .rev()
+                    .take_while(|&j| !matches!(text(j), ";" | "{" | "}"))
+                    .find_map(|j| field_of(text(j)));
+                if let Some(idx) = found {
+                    aliases.insert(param.to_string(), idx);
                 }
             }
-            i += 3;
-            continue;
+            return i + 3;
+        }
+
+        if t != "." {
+            if let Some(call) = func.call_at(i) {
+                record_call(&mut summary, call, &scope.guards, locks);
+            }
+            return i + 1;
         }
 
         // Method-shaped token runs: `. name (`.
-        if t == "." {
-            let m = toks.get(i + 1).map(|t| t.text.as_str()).unwrap_or("");
-            let open = toks.get(i + 2).map(|t| t.text.as_str()) == Some("(");
-            let argless = open && toks.get(i + 3).map(|t| t.text.as_str()) == Some(")");
-            let line = toks[i].line;
+        let m = text(i + 1);
+        let open = text(i + 2) == "(";
+        let argless = open && text(i + 3) == ")";
+        let recv = i.checked_sub(1).map_or("", text);
+        let line = toks[i].line;
 
-            // Lock acquisition: argless `.lock()` / `.read()` / `.write()`.
-            if argless && matches!(m, "lock" | "read" | "write") {
-                let lock =
-                    resolve_receiver(toks, i, &|id| field_of(id), &aliases, accessors, crate_name);
-                // Edges and L3 against every live guard. An edge is
-                // recorded whenever both locks are known (rank and cycle
-                // checks act on it); L3 fires only when both sides are
-                // raw-or-unresolved — tracked locks are governed by L5.
-                let acq_ordered = lock.is_some_and(|b| locks[b].ordered);
-                for g in &guards {
-                    if let (Some(a), Some(b)) = (g.lock, lock) {
-                        summary.direct_edges.push((a, b, file.path.clone(), line));
-                    }
-                    let held_ordered = g.lock.is_some_and(|a| locks[a].ordered);
-                    if !held_ordered && !acq_ordered {
-                        push_l3(diags, file, line, g.line, locks, g.lock);
+        // Lock acquisition: argless `.lock()` / `.read()` / `.write()`.
+        if argless && matches!(m, "lock" | "read" | "write") {
+            let lock = resolve_receiver(toks, i, &field_of, &aliases, known, &file.crate_name);
+            // Edges and L3 against every live guard. An edge is recorded
+            // whenever both locks are known (rank and cycle checks act on
+            // it); L3 fires only when both sides are raw-or-unresolved —
+            // tracked locks are governed by L5.
+            let acq_ordered = lock.is_some_and(|b| locks[b].ordered);
+            for g in &scope.guards {
+                let (held, first_line) = g.data;
+                if let (Some(a), Some(b)) = (held, lock) {
+                    summary.direct_edges.push((a, b, line));
+                }
+                let held_ordered = held.is_some_and(|a| locks[a].ordered);
+                if !held_ordered && !acq_ordered {
+                    push_l3(diags, &file.path, line, first_line, locks, held);
+                }
+            }
+            if let Some(b) = lock {
+                if !summary.direct_acquired.contains(&b) {
+                    summary.direct_acquired.push(b);
+                }
+            }
+            scope.acquire(toks, i, (lock, line));
+            return i + 4;
+        }
+
+        // Condvar wait: `cv.wait(&mut g)` / `cv.wait_for(&mut g, ..)`. The
+        // wakeup path re-acquires the guard's mutex, so every *other* live
+        // lock forms a held-while-acquired edge to it — a wait added under
+        // a higher-ranked lock is caught by the same rank check as an
+        // explicit `.lock()`.
+        if let Some(cv) = cv_of(recv).filter(|_| open && matches!(m, "wait" | "wait_for")) {
+            let mut j = i + 3;
+            while matches!(text(j), "&" | "mut") {
+                j += 1;
+            }
+            let mutex = scope
+                .guards
+                .iter()
+                .rev()
+                .find(|g| g.name.as_deref() == Some(text(j)))
+                .and_then(|g| g.data.0);
+            if let Some(b) = mutex {
+                // Only let-bound guards: a wait is its own statement, so a
+                // still-"live" expression temporary here is leakage from an
+                // enclosing `if`/`while` condition whose temporaries Rust
+                // drops before the block runs.
+                for g in scope.guards.iter().filter(|g| !g.temp) {
+                    if let Some(a) = g.data.0.filter(|&a| a != b) {
+                        summary.direct_edges.push((a, b, line));
                     }
                 }
-                if let Some(b) = lock {
-                    if !summary.direct_acquired.contains(&b) {
-                        summary.direct_acquired.push(b);
-                    }
-                }
-                // Guard binding: a statement-leading `let` whose acquisition
-                // is terminal (next token after `()` is `;`, or a single
-                // `.unwrap()`/`.expect(..)` adapter before the `;` — the
-                // std-Mutex guard idiom) names the guard; anything else is
-                // an expression temporary.
-                let terminal = match toks.get(i + 4).map(|t| t.text.as_str()) {
-                    Some(";") => true,
-                    Some(".") => {
-                        matches!(
-                            toks.get(i + 5).map(|t| t.text.as_str()),
-                            Some("unwrap") | Some("expect")
-                        ) && toks.get(i + 6).map(|t| t.text.as_str()) == Some("(")
-                            && match_forward(toks, i + 6, "(", ")").is_some_and(|close| {
-                                toks.get(close + 1).map(|t| t.text.as_str()) == Some(";")
-                            })
-                    }
-                    _ => false,
-                };
-                let (name, temp) = match (&pending_let, terminal) {
-                    (Some(n), true) if n != "_" => (Some(n.clone()), false),
-                    _ => (None, true),
-                };
-                guards.push(Guard {
-                    lock,
-                    name,
-                    depth,
-                    temp,
+            }
+            summary.cv_waits.push((cv, mutex, line));
+            return i + 2;
+        }
+
+        // Condvar notify: `cv.notify_one()` / `cv.notify_all()`.
+        if let Some(cv) = cv_of(recv).filter(|_| open && matches!(m, "notify_one" | "notify_all")) {
+            summary.cv_notifies.push(cv);
+            return i + 2;
+        }
+
+        // Backend I/O.
+        let io =
+            open && (IO_METHODS.contains(&m) || (IO_METHODS_WITH_ARGS.contains(&m) && !argless));
+        if io && IO_RECEIVERS.contains(&recv) {
+            summary.direct_io = true;
+            if !scope.guards.is_empty() && !is_io_exempt(&file.path) {
+                let held = scope
+                    .guards
+                    .iter()
+                    .rev()
+                    .find_map(|g| g.data.0)
+                    .map(|idx| display_name(locks, idx))
+                    .unwrap_or_else(|| "a lock".into());
+                // Anchor to the chain root's line when the chain is
+                // `self`-rooted, so reformatting cannot strand an
+                // allow-comment on the wrong line.
+                let line = receiver_self_root(toks, i).map_or(line, |r| toks[r].line);
+                diags.push(Diagnostic {
+                    rule: Rule::IoUnderLock,
+                    path: file.path.clone(),
                     line,
+                    message: format!(
+                        "blocking backend I/O `.{m}(..)` while `{held}` is held; \
+                         drop the guard first, or annotate with \
+                         `// lsm-lint: allow(io-under-lock)` and a rationale",
+                    ),
                 });
-                i += 4;
-                stmt_start = false;
-                continue;
             }
-
-            // Condvar wait: `cv.wait(&mut g)` / `cv.wait_for(&mut g, ..)`.
-            // The wakeup path re-acquires the guard's mutex, so every
-            // *other* live lock forms a held-while-acquired edge to it —
-            // a wait added under a higher-ranked lock is caught by the
-            // same rank check as an explicit `.lock()`.
-            if open && matches!(m, "wait" | "wait_for") {
-                let recv = toks
-                    .get(i.wrapping_sub(1))
-                    .map(|t| t.text.as_str())
-                    .unwrap_or("");
-                if let Some(cv) = cv_of(recv) {
-                    let mut j = i + 3;
-                    while toks
-                        .get(j)
-                        .is_some_and(|t| t.text == "&" || t.text == "mut")
-                    {
-                        j += 1;
-                    }
-                    let guard_name = toks.get(j).map(|t| t.text.as_str()).unwrap_or("");
-                    let mutex = guards
-                        .iter()
-                        .rev()
-                        .find(|g| g.name.as_deref() == Some(guard_name))
-                        .and_then(|g| g.lock);
-                    if let Some(b) = mutex {
-                        // Only let-bound guards: a wait is its own
-                        // statement, so a still-"live" expression
-                        // temporary here is leakage from an enclosing
-                        // `if`/`while` condition whose temporaries Rust
-                        // drops before the block runs.
-                        for g in &guards {
-                            if g.temp {
-                                continue;
-                            }
-                            if let Some(a) = g.lock {
-                                if a != b {
-                                    summary.direct_edges.push((a, b, file.path.clone(), line));
-                                }
-                            }
-                        }
-                    }
-                    summary.cv_waits.push((cv, mutex, file.path.clone(), line));
-                    i += 2;
-                    stmt_start = false;
-                    continue;
-                }
-            }
-
-            // Condvar notify: `cv.notify_one()` / `cv.notify_all()`.
-            if open && matches!(m, "notify_one" | "notify_all") {
-                let recv = toks
-                    .get(i.wrapping_sub(1))
-                    .map(|t| t.text.as_str())
-                    .unwrap_or("");
-                if let Some(cv) = cv_of(recv) {
-                    summary.cv_notifies.push(cv);
-                    i += 2;
-                    stmt_start = false;
-                    continue;
-                }
-            }
-
-            // Backend I/O.
-            let io = (IO_METHODS.contains(&m) && open)
-                || (IO_METHODS_WITH_ARGS.contains(&m) && open && !argless);
-            if io {
-                let recv_is_io = toks
-                    .get(i.wrapping_sub(1))
-                    .is_some_and(|p| IO_RECEIVERS.contains(&p.text.as_str()));
-                if recv_is_io {
-                    summary.direct_io = true;
-                    if !guards.is_empty() && !is_io_exempt(&file.path) {
-                        let held = guards
-                            .iter()
-                            .rev()
-                            .find_map(|g| g.lock)
-                            .map(|idx| display_name(locks, idx, true))
-                            .unwrap_or_else(|| "a lock".into());
-                        // Anchor to the chain root's line when the chain is
-                        // `self`-rooted, so reformatting cannot strand an
-                        // allow-comment on the wrong line.
-                        let line = receiver_self_root(toks, i)
-                            .map(|r| toks[r].line)
-                            .unwrap_or(line);
-                        diags.push(Diagnostic {
-                            rule: Rule::IoUnderLock,
-                            path: file.path.clone(),
-                            line,
-                            message: format!(
-                                "blocking backend I/O `.{m}(..)` while `{held}` is held; \
-                                 drop the guard first, or annotate with \
-                                 `// lsm-lint: allow(io-under-lock)` and a rationale",
-                            ),
-                        });
-                    }
-                    i += 2;
-                    stmt_start = false;
-                    continue;
-                }
-            }
-
-            // Ordinary method call: candidate for propagation. Only
-            // `self`-rooted chains qualify — a bare-name match on an
-            // arbitrary receiver (`out.push(..)`, `edit.apply(..)`) is
-            // dynamic-dispatch guessing and fabricates call edges to
-            // same-named crate functions. Diagnostics anchor to the chain
-            // root's line (where the statement starts), so rustfmt's
-            // chain-splitting cannot strand an allow-comment.
-            if open && !m.is_empty() && m.chars().next().is_some_and(|c| c.is_ascii_lowercase()) {
-                if let Some(root) = receiver_self_root(toks, i) {
-                    record_call(&mut summary, file, m, toks[root].line, &guards, locks);
-                }
-            }
-            i += 2;
-            stmt_start = false;
-            continue;
+            return i + 2;
         }
 
-        // Free / path calls: `ident (` not preceded by `.` or `fn`.
-        if toks.get(i + 1).map(|t| t.text.as_str()) == Some("(")
-            && !CALL_KEYWORDS.contains(&t)
-            && t.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-            && toks
-                .get(i.wrapping_sub(1))
-                .map(|p| p.text.as_str() != "." && p.text.as_str() != "fn")
-                .unwrap_or(true)
-        {
-            record_call(&mut summary, file, t, toks[i].line, &guards, locks);
+        // Any other method call is a propagation candidate if the call
+        // rule follows it.
+        if let Some(call) = func.call_at(i) {
+            record_call(&mut summary, call, &scope.guards, locks);
         }
-
-        stmt_start = false;
-        i += 1;
-    }
+        i + 2
+    });
     summary
 }
 
 fn push_l3(
     diags: &mut Vec<Diagnostic>,
-    file: &FileTokens,
+    path: &str,
     line: usize,
     first_line: usize,
     locks: &[LockInfo],
@@ -1309,7 +1031,7 @@ fn push_l3(
         .unwrap_or_else(|| "an untracked lock".into());
     diags.push(Diagnostic {
         rule: Rule::LockNesting,
-        path: file.path.clone(),
+        path: path.to_string(),
         line,
         message: format!(
             "raw lock acquired while {first} (acquired at line {first_line}) is still \
@@ -1319,185 +1041,43 @@ fn push_l3(
     });
 }
 
-fn record_call(
-    summary: &mut FnSummary,
-    file: &FileTokens,
-    name: &str,
-    line: usize,
-    guards: &[Guard],
-    locks: &[LockInfo],
-) {
-    let held: Vec<usize> = guards.iter().filter_map(|g| g.lock).collect();
-    let held_name = guards
-        .iter()
-        .rev()
-        .find_map(|g| g.lock)
-        .map(|idx| display_name(locks, idx, true));
+/// Records a call whose callee resolved, with the locks held around it.
+fn record_call(summary: &mut FnSummary, call: &Call, guards: &[Guard<Held>], locks: &[LockInfo]) {
+    let Some(callee) = call.callee else { return };
     summary.calls.push(CallSite {
-        name: name.to_string(),
-        file: file.path.clone(),
-        line,
-        held,
+        callee,
+        line: call.line,
+        held: guards.iter().filter_map(|g| g.data.0).collect(),
         guard_live: !guards.is_empty(),
-        held_name,
+        held_name: guards
+            .iter()
+            .rev()
+            .find_map(|g| g.data.0)
+            .map(|idx| display_name(locks, idx)),
     });
 }
 
-/// Resolves the receiver of a `.lock()`-style acquisition: a lock field
-/// ident, a loop/closure alias, an accessor call (`self.shard_for(k)`), or
-/// an index expression (`self.shards[i]`).
+/// Resolves the receiver of a `.lock()`-style acquisition: an accessor
+/// call (`self.shard_for(k)`), or a lock field ident or loop/closure alias,
+/// directly or indexed (`self.shards[i]`).
 fn resolve_receiver(
     toks: &[Token],
-    dot_idx: usize,
+    dot: usize,
     field_of: &dyn Fn(&str) -> Option<usize>,
     aliases: &HashMap<String, usize>,
-    accessors: &HashMap<(String, String), usize>,
+    known: &Known,
     crate_name: &str,
 ) -> Option<usize> {
-    let prev = dot_idx.checked_sub(1)?;
-    match toks[prev].text.as_str() {
-        ")" => {
-            let open = match_back(toks, prev, "(", ")")?;
-            let callee = toks.get(open.checked_sub(1)?)?;
-            accessors
-                .get(&(crate_name.to_string(), callee.text.clone()))
-                .copied()
-        }
-        "]" => {
-            let open = match_back(toks, prev, "[", "]")?;
-            let base = toks.get(open.checked_sub(1)?)?;
-            field_of(&base.text).or_else(|| aliases.get(&base.text).copied())
-        }
-        ident => field_of(ident).or_else(|| aliases.get(ident).copied()),
+    let prev = dot.checked_sub(1)?;
+    if toks[prev].text == ")" {
+        let callee = &toks[matching(toks, prev)?.checked_sub(1)?].text;
+        return known
+            .accessors
+            .get(&(crate_name.to_string(), callee.clone()))
+            .copied();
     }
-}
-
-/// Resolves the receiver chain of the method call at `dot_idx` (a `.`
-/// token) to its root token index, if the chain is rooted at `self` —
-/// i.e. `self.f(..)` or `self.inner.f(..)`. Chains containing an
-/// intermediate call or index (`self.x.lock().f(..)`) yield `None`: the
-/// call lands on the guard's deref target, not on `self`.
-pub(crate) fn receiver_self_root(toks: &[Token], dot_idx: usize) -> Option<usize> {
-    let mut j = dot_idx.checked_sub(1)?;
-    loop {
-        let t = toks[j].text.as_str();
-        if t == "self" {
-            return Some(j);
-        }
-        let is_ident = !t.is_empty() && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-        if !is_ident {
-            return None;
-        }
-        match j.checked_sub(1) {
-            Some(p) if toks[p].text == "." => j = p.checked_sub(1)?,
-            _ => return None,
-        }
-    }
-}
-
-/// [`receiver_self_root`] that also sees through index groups: a call on
-/// `self.engines[i]` is a call on one of `self`'s own elements (how a
-/// database handle reaches the engine a key routes to). Used by L7 only.
-pub(crate) fn receiver_self_root_indexed(toks: &[Token], dot_idx: usize) -> Option<usize> {
-    let mut j = dot_idx.checked_sub(1)?;
-    loop {
-        while toks[j].text == "]" {
-            j = match_back(toks, j, "[", "]")?.checked_sub(1)?;
-        }
-        let t = toks[j].text.as_str();
-        if t == "self" {
-            return Some(j);
-        }
-        let is_ident = !t.is_empty() && t.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-        if !is_ident {
-            return None;
-        }
-        match j.checked_sub(1) {
-            Some(p) if toks[p].text == "." => j = p.checked_sub(1)?,
-            _ => return None,
-        }
-    }
-}
-
-/// Finds the index of the `close` token matching the `open` at `open_idx`.
-fn match_forward(toks: &[Token], open_idx: usize, open: &str, close: &str) -> Option<usize> {
-    let mut depth = 0i64;
-    for (j, t) in toks.iter().enumerate().skip(open_idx) {
-        if t.text == open {
-            depth += 1;
-        } else if t.text == close {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-    }
-    None
-}
-
-/// Finds the index of the `open` token matching the `close` at `close_idx`.
-fn match_back(toks: &[Token], close_idx: usize, open: &str, close: &str) -> Option<usize> {
-    let mut depth = 0i64;
-    let mut j = close_idx;
-    loop {
-        let t = toks[j].text.as_str();
-        if t == close {
-            depth += 1;
-        } else if t == open {
-            depth -= 1;
-            if depth == 0 {
-                return Some(j);
-            }
-        }
-        j = j.checked_sub(1)?;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pass 4: fixpoint propagation
-// ---------------------------------------------------------------------------
-
-/// Computes each function's transitive acquisition set and does-I/O flag,
-/// following only `self`-rooted or path calls whose name maps to exactly
-/// one function in the crate. Monotone union, so the fixpoint terminates.
-fn propagate(
-    fns: &[FnSummary],
-    unique: &HashMap<(String, String), usize>,
-) -> (Vec<BTreeSet<usize>>, Vec<bool>) {
-    let mut acquired: Vec<BTreeSet<usize>> = fns
-        .iter()
-        .map(|f| f.direct_acquired.iter().copied().collect())
-        .collect();
-    let mut does_io: Vec<bool> = fns.iter().map(|f| f.direct_io).collect();
-    loop {
-        let mut changed = false;
-        for (i, f) in fns.iter().enumerate() {
-            for call in &f.calls {
-                let Some(&callee) = unique.get(&(f.crate_name.clone(), call.name.clone())) else {
-                    continue;
-                };
-                if callee == i {
-                    continue;
-                }
-                let add: Vec<usize> = acquired[callee]
-                    .iter()
-                    .filter(|l| !acquired[i].contains(l))
-                    .copied()
-                    .collect();
-                if !add.is_empty() {
-                    acquired[i].extend(add);
-                    changed = true;
-                }
-                if does_io[callee] && !does_io[i] {
-                    does_io[i] = true;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            return (acquired, does_io);
-        }
-    }
+    let base = &toks[receiver_ident(toks, dot)?].text;
+    field_of(base).or_else(|| aliases.get(base).copied())
 }
 
 // ---------------------------------------------------------------------------
@@ -1558,4 +1138,61 @@ fn find_cycles(edges: &[LockEdge]) -> Vec<Vec<String>> {
         }
     }
     cycles
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(src: &str) -> LockGraph {
+        analyze(&[("crates/lsm-core/src/x.rs".to_string(), src.to_string())])
+    }
+
+    #[test]
+    fn an_indexed_self_call_under_a_lock_yields_the_callee_edge() {
+        let src = "struct Db { outer: OrderedMutex<u32>, shards: Vec<Shard> }\n\
+                   struct Shard { inner: OrderedMutex<u32> }\n\
+                   impl Db {\n\
+                       fn commit(&self, i: usize) {\n\
+                           let _epoch = self.outer.lock();\n\
+                           self.shards[i].apply();\n\
+                       }\n\
+                   }\n\
+                   impl Shard { fn apply(&self) { let _g = self.inner.lock(); } }\n";
+        let graph = run(src);
+        let edge = graph
+            .edges
+            .iter()
+            .find(|e| e.from == "lsm-core/outer" && e.to == "lsm-core/inner");
+        assert_eq!(edge.map(|e| e.line), Some(6), "{:?}", graph.edges);
+    }
+
+    #[test]
+    fn a_path_qualified_call_is_not_resolved_by_bare_name() {
+        let with_call = |call: &str| {
+            format!(
+                "struct S {{ a: Mutex<u32> }}\n\
+                 impl S {{\n\
+                     fn get(&self) {{\n\
+                         let _g = self.a.lock();\n\
+                         let _ = {call}(1);\n\
+                     }}\n\
+                 }}\n\
+                 fn open(backend: &B) {{ backend.append(1); }}\n"
+            )
+        };
+        let l6 = |src: String| {
+            run(&src)
+                .diagnostics
+                .into_iter()
+                .filter(|d| d.rule == Rule::IoUnderLock)
+                .count()
+        };
+        assert_eq!(
+            l6(with_call("m::open")),
+            0,
+            "`m::open` is not the local `open`"
+        );
+        assert_eq!(l6(with_call("open")), 1, "the local `open` does I/O");
+    }
 }

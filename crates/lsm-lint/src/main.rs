@@ -62,15 +62,47 @@ fn write_spec(what: &str, path: &PathBuf, fresh: &str) -> bool {
     }
 }
 
+/// Everything a run derives besides the lint report.
+type Analyses = (
+    lsm_lint::LockGraph,
+    lsm_lint::DurabilityReport,
+    lsm_lint::AtomicsReport,
+);
+
+/// One checked-in spec: its name, its two flags, and how to derive it.
+struct Spec {
+    what: &'static str,
+    write_flag: &'static str,
+    check_flag: &'static str,
+    emit: fn(&Analyses) -> String,
+}
+
+const SPECS: [Spec; 3] = [
+    Spec {
+        what: "lock-order",
+        write_flag: "--write-lock-order",
+        check_flag: "--check-lock-order",
+        emit: |a| a.0.spec_json(),
+    },
+    Spec {
+        what: "durability-order",
+        write_flag: "--write-durability-order",
+        check_flag: "--check-durability-order",
+        emit: |a| a.1.spec_json(),
+    },
+    Spec {
+        what: "atomics-order",
+        write_flag: "--write-atomics-order",
+        check_flag: "--check-atomics-order",
+        emit: |a| a.2.spec_json(),
+    },
+];
+
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json_out: Option<PathBuf> = None;
-    let mut write_lock: Option<PathBuf> = None;
-    let mut check_lock: Option<PathBuf> = None;
-    let mut write_dur: Option<PathBuf> = None;
-    let mut check_dur: Option<PathBuf> = None;
-    let mut write_atomics: Option<PathBuf> = None;
-    let mut check_atomics: Option<PathBuf> = None;
+    // Per spec: the file to write and the file to check against.
+    let mut targets: [[Option<PathBuf>; 2]; SPECS.len()] = Default::default();
     let mut only: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -81,6 +113,19 @@ fn main() -> ExitCode {
                 None
             }
         };
+        let spec_flag = SPECS.iter().enumerate().find_map(|(k, s)| {
+            [s.write_flag, s.check_flag]
+                .iter()
+                .position(|f| *f == arg)
+                .map(|mode| (k, mode))
+        });
+        if let Some((k, mode)) = spec_flag {
+            match value(&arg) {
+                Some(v) => targets[k][mode] = Some(v),
+                None => return ExitCode::from(2),
+            }
+            continue;
+        }
         match arg.as_str() {
             "--path" => match value("--path") {
                 Some(v) => root = Some(v),
@@ -88,30 +133,6 @@ fn main() -> ExitCode {
             },
             "--json" => match value("--json") {
                 Some(v) => json_out = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--write-lock-order" => match value("--write-lock-order") {
-                Some(v) => write_lock = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--check-lock-order" => match value("--check-lock-order") {
-                Some(v) => check_lock = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--write-durability-order" => match value("--write-durability-order") {
-                Some(v) => write_dur = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--check-durability-order" => match value("--check-durability-order") {
-                Some(v) => check_dur = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--write-atomics-order" => match value("--write-atomics-order") {
-                Some(v) => write_atomics = Some(v),
-                None => return ExitCode::from(2),
-            },
-            "--check-atomics-order" => match value("--check-atomics-order") {
-                Some(v) => check_atomics = Some(v),
                 None => return ExitCode::from(2),
             },
             "--only" => match value("--only") {
@@ -191,47 +212,24 @@ fn main() -> ExitCode {
         eprintln!("{d}");
     }
 
+    let analyses = (graph, durability, atomics);
     let mut spec_failed = false;
-    if let Some(path) = write_lock {
-        spec_failed |= !write_spec("lock-order", &path, &graph.spec_json());
-    }
-    if let Some(path) = write_dur {
-        spec_failed |= !write_spec("durability-order", &path, &durability.spec_json());
-    }
-    if let Some(path) = check_lock {
-        if !graph.cycles.is_empty() {
+    for (spec, [write, check]) in SPECS.iter().zip(&targets) {
+        let fresh = (spec.emit)(&analyses);
+        if let Some(path) = write {
+            spec_failed |= !write_spec(spec.what, path, &fresh);
+        }
+        let Some(path) = check else { continue };
+        let cycles = &analyses.0.cycles;
+        if spec.check_flag == "--check-lock-order" && !cycles.is_empty() {
             eprintln!(
                 "lsm-lint: lock-order graph has {} cycle(s): {:?}",
-                graph.cycles.len(),
-                graph.cycles
+                cycles.len(),
+                cycles
             );
             spec_failed = true;
         }
-        spec_failed |= !check_spec(
-            "lock-order",
-            "--write-lock-order",
-            &path,
-            &graph.spec_json(),
-        );
-    }
-    if let Some(path) = check_dur {
-        spec_failed |= !check_spec(
-            "durability-order",
-            "--write-durability-order",
-            &path,
-            &durability.spec_json(),
-        );
-    }
-    if let Some(path) = write_atomics {
-        spec_failed |= !write_spec("atomics-order", &path, &atomics.spec_json());
-    }
-    if let Some(path) = check_atomics {
-        spec_failed |= !check_spec(
-            "atomics-order",
-            "--write-atomics-order",
-            &path,
-            &atomics.spec_json(),
-        );
+        spec_failed |= !check_spec(spec.what, spec.write_flag, path, &fresh);
     }
 
     let json_path = json_out.unwrap_or_else(|| root.join("target/lsm-lint-report.json"));

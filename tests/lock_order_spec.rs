@@ -92,6 +92,16 @@ fn lock_order_spec_is_current_acyclic_and_matches_runtime_ranks() {
         );
     }
 
+    // A cross-shard commit holds `epoch_mx` while each involved shard
+    // commits through `self.engines[i].commit_batch(..)`, so the engine
+    // locks that commit takes are edges out of `epoch_mx`.
+    for to in ["lsm-core/write_mx", "lsm-core/commit_mx"] {
+        assert!(
+            edges.contains(&("lsm-core/epoch_mx".to_string(), to.to_string())),
+            "expected edge lsm-core/epoch_mx -> {to} in the spec"
+        );
+    }
+
     // Every condvar is bound to the one mutex its wait sites pair it with;
     // the wait's re-acquisition of that mutex is what lets the rank check
     // treat a wait as an acquisition site.
