@@ -853,7 +853,7 @@ impl Db {
     pub fn recovery_summary(&self) -> Option<RecoverySummary> {
         let mut sum: Option<RecoverySummary> = None;
         for engine in &self.inner.engines {
-            let Some(r) = engine.recovery.lock().clone() else {
+            let Some(r) = engine.recovery.get() else {
                 continue;
             };
             let s = sum.get_or_insert_with(RecoverySummary::default);
@@ -955,7 +955,7 @@ impl Shards {
     /// work); the pool skips that shard from then on. With one shard this
     /// is `try_flush_one() || try_compact_one()`.
     pub(crate) fn step(&self, last: &mut usize) -> bool {
-        let live = |i: &usize| self.engines[*i].bg_error.lock().is_none();
+        let live = |i: &usize| self.engines[*i].bg_error.get().is_none();
         let run = |i: usize, job: fn(&Engine) -> Result<bool>| {
             let e = &self.engines[i];
             e.with_transient_retry(|| job(e)).unwrap_or_else(|err| {

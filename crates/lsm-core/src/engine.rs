@@ -5,7 +5,7 @@
 //! construction path goes through [`crate::DbBuilder`].
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -25,6 +25,7 @@ use lsm_types::{
 
 use crate::compact::{execute_plan, GcRules, OutputWriter};
 use crate::db::{fg_write, DbScanIter, Pool, ReadOptions, WriteBatch, WriteOptions};
+use crate::group_commit::{GroupCommit, GroupQueue, Member};
 use crate::manifest::Manifest;
 use crate::options::Options;
 use crate::scan::{build_scan_merge, VisibleIter};
@@ -152,7 +153,7 @@ impl EpochFilter {
 }
 
 /// One writer's pending work in the commit queue: its operations plus the
-/// durability it requires, completed by whichever leader drains it.
+/// durability it requires.
 pub(crate) struct CommitRequest {
     pub(crate) ops: Vec<BatchOp>,
     /// Include this request in the group's WAL append.
@@ -163,27 +164,6 @@ pub(crate) struct CommitRequest {
     /// prefixed with [`EPOCH_TAG`] so recovery can discard it unless the
     /// coordinator recorded the epoch as committed.
     pub(crate) epoch: Option<u64>,
-    /// Set (with `Release`) by the leader after the whole group committed
-    /// or failed; the owning writer spins/waits on it.
-    pub(crate) done: AtomicBool,
-    /// The group's failure, when it failed (every member sees the same
-    /// error — nothing from a failed group reaches the memtable).
-    pub(crate) error: OnceLock<Error>,
-}
-
-/// A copy of `e` for another member of the same failed commit group: the
-/// same variant and message, so `is_transient()`/`is_corruption()` answer
-/// alike for every writer (`io::Error` is not `Clone`; its kind and text
-/// are kept).
-fn same_error(e: &Error) -> Error {
-    match e {
-        Error::Io(io) => Error::Io(std::io::Error::new(io.kind(), io.to_string())),
-        Error::Corruption(msg) => Error::Corruption(msg.clone()),
-        Error::NotFound(msg) => Error::NotFound(msg.clone()),
-        Error::InvalidArgument(msg) => Error::InvalidArgument(msg.clone()),
-        Error::ShuttingDown => Error::ShuttingDown,
-        Error::Transient(msg) => Error::Transient(msg.clone()),
-    }
 }
 
 /// One mutation as the API hands it to the commit path: an entry that has
@@ -222,18 +202,9 @@ pub(crate) struct Engine {
     pub(crate) current: OrderedMutex<Arc<Version>>,
     pub(crate) snapshots: OrderedMutex<BTreeMap<SeqNo, usize>>,
     pub(crate) sched: OrderedMutex<Scheduler>,
-    /// Serializes group-commit leaders (and `update`/`bulk_load`, which
-    /// hold it themselves instead of queueing); groups publish their
-    /// sequence numbers atomically under it.
-    pub(crate) write_mx: OrderedMutex<()>,
-    /// Pending group-commit requests, oldest first. Writers enqueue here
-    /// and the front writer becomes the leader: it takes `write_mx`, drains
-    /// a prefix of this queue (bounded by `max_group_ops`/`max_group_bytes`),
-    /// commits the whole group with one WAL append and at most one sync,
-    /// then wakes the followers via `commit_cv`.
-    pub(crate) commit_mx: OrderedMutex<VecDeque<Arc<CommitRequest>>>,
-    /// Signalled (under `commit_mx`) when a leader finishes a group.
-    pub(crate) commit_cv: Condvar,
+    /// The group-commit queue and the writer ticket (`write_mx`), bounded
+    /// by `max_group_ops`/`max_group_bytes`.
+    pub(crate) queue: GroupQueue<CommitRequest>,
     /// Manifest persistence ticket: build-manifest + `put_meta` happen as
     /// one unit under this lock, so a save built from older state can
     /// never land after (and overwrite) a save that already recorded a
@@ -247,15 +218,16 @@ pub(crate) struct Engine {
     /// shrinks, a flush or compaction commits, or a background error lands.
     pub(crate) stall_mx: OrderedMutex<()>,
     pub(crate) stall_cv: Condvar,
-    pub(crate) bg_error: OrderedMutex<Option<String>>,
+    /// The first background error; once set, every write fails.
+    pub(crate) bg_error: OnceLock<String>,
     /// When set, every structural change rewrites the backend's `MANIFEST`
     /// metadata blob (see [`MANIFEST_META`]).
     pub(crate) persist_manifest: bool,
     /// Latency histograms + structured event trace (atomics only — never
     /// part of the lock hierarchy, safe to call from any lock scope).
     pub(crate) obs: ObsHandle,
-    /// What recovery did at open time (`None` for a fresh database).
-    pub(crate) recovery: OrderedMutex<Option<RecoverySummary>>,
+    /// What recovery did at open time (unset for a fresh database).
+    pub(crate) recovery: OnceLock<RecoverySummary>,
     /// Count of in-flight cross-shard epoch commits touching this engine.
     /// While non-zero, `freeze_active` refuses to freeze: a flush would
     /// persist epoch-tagged entries into SSTs, where recovery could no
@@ -284,6 +256,7 @@ impl Engine {
             rts: OrderedRwLock::new(ranks::MEM_RTS, Vec::new()),
             wal: wal_id,
         });
+        let queue = GroupQueue::new(opts.max_group_ops, opts.max_group_bytes);
         Ok(Arc::new(Engine {
             opts,
             backend,
@@ -309,17 +282,15 @@ impl Engine {
                     cursors: Vec::new(),
                 },
             ),
-            write_mx: OrderedMutex::new(ranks::DB_WRITE, ()),
-            commit_mx: OrderedMutex::new(ranks::DB_COMMIT, VecDeque::new()),
-            commit_cv: Condvar::new(),
+            queue,
             manifest_mx: OrderedMutex::new(ranks::DB_MANIFEST, ()),
             pool,
             stall_mx: OrderedMutex::new(ranks::DB_STALL, ()),
             stall_cv: Condvar::new(),
-            bg_error: OrderedMutex::new(ranks::DB_BG_ERROR, None),
+            bg_error: OnceLock::new(),
             persist_manifest,
             obs,
-            recovery: OrderedMutex::new(ranks::DB_RECOVERY, None),
+            recovery: OnceLock::new(),
             epoch_pins: AtomicU64::new(0),
         }))
     }
@@ -430,7 +401,7 @@ impl Engine {
             recovery_phase::WAL_REPLAY,
             summary.records_recovered as u64,
         );
-        *self.recovery.lock() = Some(summary);
+        let _ = self.recovery.set(summary);
 
         // Re-log the replayed entries into the fresh active WAL (synced, so
         // recovered data is durable again before we drop the old segments),
@@ -473,7 +444,7 @@ impl Engine {
     }
 
     pub(crate) fn check_bg_error(&self) -> Result<()> {
-        if let Some(msg) = self.bg_error.lock().as_ref() {
+        if let Some(msg) = self.bg_error.get() {
             return Err(Error::Corruption(format!("background error: {msg}")));
         }
         Ok(())
@@ -483,7 +454,7 @@ impl Engine {
     /// cross-shard commit the coordinator could not record (so no further
     /// acknowledged write builds on a maybe-discarded prefix).
     pub(crate) fn set_bg_error(&self, msg: &str) {
-        self.bg_error.lock().get_or_insert_with(|| msg.to_string());
+        self.bg_error.get_or_init(|| msg.to_string());
         self.notify_progress();
     }
 
@@ -525,16 +496,9 @@ impl Engine {
 
     // ---------------------------------------------------------------- write
 
-    /// The group-commit write pipeline (RocksDB-style leader/follower).
-    ///
-    /// The writer enqueues its request, then loops: if a leader already
-    /// committed it, done; if it sits at the queue front, it becomes the
-    /// leader — takes `write_mx`, drains a prefix of the queue, commits the
-    /// whole group ([`Engine::commit_group`]), marks every member done and
-    /// wakes the rest via `commit_cv`. Otherwise it parks on the condvar
-    /// (notification happens under `commit_mx` after `done` is set, and the
-    /// waiter re-checks `done` under the same lock, so no wakeup is missed;
-    /// the timeout is a safety net, not the progress mechanism).
+    /// A queued write: the bg-error and stall checks, then one
+    /// [`GroupCommit::commit_in_group`] (the leader/follower group commit),
+    /// then the freeze check.
     ///
     /// `epoch` is `Some` only for a sub-batch of a cross-shard batch: the
     /// request's WAL record gets the epoch tag so recovery can make the
@@ -557,52 +521,7 @@ impl Engine {
             .obs
             .fg_sample_weight()
             .map(|weight| (self.obs.now_nanos(), weight));
-        self.commit_mx.lock().push_back(Arc::clone(&req));
-
-        loop {
-            if req.done.load(Ordering::Acquire) {
-                break;
-            }
-            let at_front = {
-                let q = self.commit_mx.lock();
-                q.front().is_some_and(|f| Arc::ptr_eq(f, &req))
-            };
-            if at_front {
-                // Become the leader. `write_mx` is held across the drain,
-                // the WAL append, and every memtable insert: that is what
-                // makes the group one durable, atomically-published unit.
-                let writer = self.write_mx.lock();
-                if req.done.load(Ordering::Acquire) {
-                    // The previous leader drained us while we waited for
-                    // the ticket (drains always take a queue prefix).
-                    break;
-                }
-                let group = self.drain_group();
-                debug_assert!(group.iter().any(|r| Arc::ptr_eq(r, &req)));
-                // lsm-lint: allow(io-under-lock)
-                let result = self.commit_group(&group);
-                for r in &group {
-                    if let Err(e) = &result {
-                        let _ = r.error.set(same_error(e));
-                    }
-                    r.done.store(true, Ordering::Release);
-                }
-                drop(writer);
-                {
-                    let _q = self.commit_mx.lock();
-                    self.commit_cv.notify_all();
-                }
-                break; // acknowledged below like every member of the group
-            }
-            let mut q = self.commit_mx.lock();
-            if req.done.load(Ordering::Acquire) {
-                break;
-            }
-            if q.front().is_some_and(|f| Arc::ptr_eq(f, &req)) {
-                continue; // promoted to front while taking the lock
-            }
-            self.commit_cv.wait_for(&mut q, Duration::from_millis(50));
-        }
+        let result = self.commit_in_group(req);
         if let Some((t, weight)) = enqueued {
             self.obs.record_weighted(
                 HistKind::GroupWait,
@@ -610,9 +529,7 @@ impl Engine {
                 weight,
             );
         }
-        if let Some(e) = req.error.get() {
-            return Err(same_error(e));
-        }
+        result?;
         self.maybe_freeze()
     }
 
@@ -641,7 +558,7 @@ impl Engine {
         {
             // Holding the writer ticket from the read to the publish is the
             // read-modify-write contract: no commit lands in between.
-            let _writer = self.write_mx.lock();
+            let _writer = self.queue.write_mx.lock();
             let snapshot = self.seqno.load(Ordering::Acquire);
             let current = self.get(key, snapshot, &mut ReadCtx::default())?;
             let mut batch = WriteBatch::new();
@@ -653,7 +570,7 @@ impl Engine {
             // The result commits as a one-request group under the ticket
             // already held, which is exactly what a queue leader holds.
             fg_write(self, batch, |ops| {
-                let req = self.request(ops, &WriteOptions::default(), None);
+                let req = Member::new(self.request(ops, &WriteOptions::default(), None));
                 // lsm-lint: allow(io-under-lock)
                 self.commit_group(&[req])
             })?;
@@ -666,7 +583,7 @@ impl Engine {
     where
         I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
     {
-        let _writer = self.write_mx.lock();
+        let _writer = self.queue.write_mx.lock();
         {
             let mem = self.mem.read();
             if !mem.active.table.is_empty() || !mem.immutables.is_empty() {
@@ -766,43 +683,28 @@ impl Engine {
         ops: Vec<BatchOp>,
         w: &WriteOptions,
         epoch: Option<u64>,
-    ) -> Arc<CommitRequest> {
-        Arc::new(CommitRequest {
+    ) -> CommitRequest {
+        CommitRequest {
             ops,
             wal: self.opts.wal && !w.no_wal,
             sync: w.sync.unwrap_or(self.opts.wal_sync),
             epoch,
-            done: AtomicBool::new(false),
-            error: OnceLock::new(),
-        })
+        }
+    }
+}
+
+impl GroupCommit for Engine {
+    type Request = CommitRequest;
+
+    fn queue(&self) -> &GroupQueue<CommitRequest> {
+        &self.queue
     }
 
-    /// Pops the next commit group off the queue: a non-empty prefix bounded
-    /// by `max_group_ops`/`max_group_bytes`. The first request always joins
-    /// regardless of size, so an oversized batch still commits (alone).
-    pub(crate) fn drain_group(&self) -> Vec<Arc<CommitRequest>> {
-        let mut q = self.commit_mx.lock();
-        let mut group = Vec::new();
-        let mut ops = 0usize;
-        let mut bytes = 0usize;
-        while let Some(front) = q.front() {
-            let req_ops = front.ops.len();
-            // Approximate encoded size: payload bytes plus a small per-entry
-            // framing allowance.
-            let req_bytes: usize = front.ops.iter().map(|op| op.user_bytes() + 16).sum();
-            if !group.is_empty()
-                && (ops + req_ops > self.opts.max_group_ops
-                    || bytes + req_bytes > self.opts.max_group_bytes)
-            {
-                break;
-            }
-            ops += req_ops;
-            bytes += req_bytes;
-            if let Some(r) = q.pop_front() {
-                group.push(r);
-            }
-        }
-        group
+    /// Payload bytes plus a small per-entry framing allowance: an
+    /// approximation of the encoded size.
+    fn request_size(req: &CommitRequest) -> (usize, usize) {
+        let bytes = req.ops.iter().map(|op| op.user_bytes() + 16).sum();
+        (req.ops.len(), bytes)
     }
 
     /// Commits one drained group while the caller holds `write_mx`: builds
@@ -814,7 +716,7 @@ impl Engine {
     ///
     /// Any failure before the memtable applies fails the whole group with
     /// nothing applied, preserving acknowledged == durable.
-    pub(crate) fn commit_group(&self, group: &[Arc<CommitRequest>]) -> Result<()> {
+    fn commit_group(&self, group: &[Arc<Member<CommitRequest>>]) -> Result<()> {
         // Per-group bookkeeping samples 1-in-FG_SAMPLE like the foreground
         // ops: an uncontended group is one sub-microsecond put, and timing
         // every one of them would tax the very path being measured. A
@@ -849,10 +751,12 @@ impl Engine {
         }
         result
     }
+}
 
+impl Engine {
     fn commit_group_inner(
         &self,
-        group: &[Arc<CommitRequest>],
+        group: &[Arc<Member<CommitRequest>>],
         started: Option<(u64, u64)>,
         committed: &mut (u64, u64),
     ) -> Result<()> {
@@ -896,7 +800,6 @@ impl Engine {
             if !payloads.is_empty() {
                 // The WAL append must happen under `mem` so the segment
                 // cannot be frozen/deleted between append and insert.
-                // lsm-lint: allow(io-under-lock)
                 let writer = wal::WalWriter::open(self.backend.as_ref(), wal_id);
                 // lsm-lint: allow(io-under-lock)
                 writer.append_records(&payloads)?;
@@ -1744,13 +1647,13 @@ mod tests {
 
         // With the writer ticket taken nobody can lead: every writer
         // queues up, and the one group they form meets the armed fault.
-        let ticket = engine.write_mx.lock();
+        let ticket = engine.queue.write_mx.lock();
         let armed_at = fault.write_ops() + 1;
         let results: Vec<Result<()>> = std::thread::scope(|s| {
             let writers: Vec<_> = (0..WRITERS)
                 .map(|i| s.spawn(move || db.put(format!("k{i}").as_bytes(), b"v")))
                 .collect();
-            while engine.commit_mx.lock().len() < WRITERS {
+            while engine.queue.commit_mx.lock().len() < WRITERS {
                 std::thread::yield_now();
             }
             fault.fail_writes_transiently_at(&[armed_at]);

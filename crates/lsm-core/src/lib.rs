@@ -37,6 +37,7 @@ mod compact;
 mod db;
 mod engine;
 mod exporter;
+mod group_commit;
 mod manifest;
 mod metrics;
 mod options;

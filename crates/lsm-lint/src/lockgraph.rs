@@ -72,6 +72,7 @@ const IO_RECEIVERS: &[&str] = &["backend", "writer", "inner"];
 /// Backend methods that are I/O regardless of arity.
 const IO_METHODS: &[&str] = &[
     "append",
+    "append_records",
     "sync",
     "create_appendable",
     "delete",
@@ -1194,5 +1195,23 @@ mod tests {
             "`m::open` is not the local `open`"
         );
         assert_eq!(l6(with_call("open")), 1, "the local `open` does I/O");
+    }
+
+    #[test]
+    fn a_wal_group_append_under_a_lock_is_io() {
+        let src = "struct S { mem: OrderedRwLock<u32> }\n\
+                   impl S {\n\
+                       fn commit(&self, writer: W) {\n\
+                           let _mem = self.mem.read();\n\
+                           writer.append_records(&payloads);\n\
+                       }\n\
+                   }\n";
+        let l6: Vec<usize> = run(src)
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == Rule::IoUnderLock)
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(l6, [5], "one L6, at the append");
     }
 }

@@ -20,10 +20,10 @@
 //!
 //! With the `loom` feature the `parking_lot` backing is swapped for the
 //! vendored `loom` model checker so `loom::model` can exhaustively explore
-//! interleavings of code built on these primitives (the commit-pipeline
-//! model in `tests/loom_commit.rs`). The rank checks stay active under
-//! loom — the model threads are real threads, so the thread-local held-set
-//! works unchanged. The only API difference: constructors are not `const`
+//! interleavings of code built on these primitives (the group-commit
+//! driver's models in `lsm-core`, and the models in `tests/`). The rank
+//! checks stay active under loom — the model threads are real threads, so
+//! the thread-local held-set works unchanged. The only API difference: constructors are not `const`
 //! under loom (each lock needs a runtime-allocated model identity).
 
 #![forbid(unsafe_code)]
@@ -394,7 +394,7 @@ impl fmt::Debug for Condvar {
 // Under the loom feature the primitives only function inside
 // `loom::model` (the model scheduler owns every thread), so the plain
 // unit tests are built against the parking_lot backing only; the loom
-// configuration is covered by tests/loom_commit.rs.
+// configuration is covered by the loom models.
 #[cfg(all(test, not(feature = "loom")))]
 mod tests {
     use super::*;

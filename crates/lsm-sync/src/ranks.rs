@@ -57,10 +57,6 @@ pub const DB_MEM: LockRank = LockRank::new("db.mem", 150);
 pub const DB_SCHED: LockRank = LockRank::new("db.sched", 160);
 /// Per-memtable range-tombstone list (nested under `db.mem`).
 pub const MEM_RTS: LockRank = LockRank::new("db.mem_handle.rts", 170);
-/// `Db` sticky background-error slot.
-pub const DB_BG_ERROR: LockRank = LockRank::new("db.bg_error", 180);
-/// `Db` recovery-summary slot (written once at open).
-pub const DB_RECOVERY: LockRank = LockRank::new("db.recovery", 185);
 /// `Db` background-worker join handles (taken only at shutdown).
 pub const DB_WORKERS: LockRank = LockRank::new("db.workers", 190);
 /// Memtable index structure (skiplist / vector / btree / hash shard).
@@ -91,8 +87,6 @@ pub const REGISTRY: &[(&str, LockRank)] = &[
     ("DB_MEM", DB_MEM),
     ("DB_SCHED", DB_SCHED),
     ("MEM_RTS", MEM_RTS),
-    ("DB_BG_ERROR", DB_BG_ERROR),
-    ("DB_RECOVERY", DB_RECOVERY),
     ("DB_WORKERS", DB_WORKERS),
     ("MEMTABLE_INDEX", MEMTABLE_INDEX),
     ("MEMTABLE_SIZE", MEMTABLE_SIZE),

@@ -48,6 +48,22 @@ impl std::error::Error for Error {
     }
 }
 
+/// The same variant and message, so `is_transient()`/`is_corruption()`
+/// answer alike for every holder, e.g. each member of a failed commit group
+/// (`io::Error` is not `Clone`; its kind and text are kept).
+impl Clone for Error {
+    fn clone(&self) -> Self {
+        match self {
+            Error::Io(io) => Error::Io(std::io::Error::new(io.kind(), io.to_string())),
+            Error::Corruption(msg) => Error::Corruption(msg.clone()),
+            Error::NotFound(msg) => Error::NotFound(msg.clone()),
+            Error::InvalidArgument(msg) => Error::InvalidArgument(msg.clone()),
+            Error::ShuttingDown => Error::ShuttingDown,
+            Error::Transient(msg) => Error::Transient(msg.clone()),
+        }
+    }
+}
+
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e)
@@ -87,5 +103,26 @@ mod tests {
         let e: Error = io.into();
         assert!(std::error::Error::source(&e).is_some());
         assert!(e.to_string().contains("disk on fire"));
+    }
+
+    #[test]
+    fn clone_keeps_the_variant_the_message_and_the_class() {
+        let io = std::io::Error::new(std::io::ErrorKind::TimedOut, "slow disk");
+        for e in [
+            Error::Io(io),
+            Error::Transient("a".into()),
+            Error::Corruption("b".into()),
+        ] {
+            let c = e.clone();
+            assert_eq!(std::mem::discriminant(&c), std::mem::discriminant(&e));
+            assert_eq!(
+                (c.to_string(), c.is_transient()),
+                (e.to_string(), e.is_transient())
+            );
+            assert_eq!(c.is_corruption(), e.is_corruption());
+            if let (Error::Io(c), Error::Io(e)) = (&c, &e) {
+                assert_eq!(c.kind(), e.kind());
+            }
+        }
     }
 }

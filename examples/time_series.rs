@@ -2,9 +2,11 @@
 //! ingest-dominated applications like InfluxDB's TSM engine).
 //!
 //! Timestamps make keys arrive in sorted order, which is the LSM's best
-//! case: flushed runs never overlap, so compaction moves them without
-//! merging. The example ingests metrics, then serves "last hour" window
-//! scans and point reads, comparing a tiered vs leveled tuning.
+//! case: flushed runs never overlap, so each compaction's merge only
+//! concatenates its inputs and drops nothing. It still reads and rewrites
+//! every byte; the engine has no trivial move. The example ingests metrics,
+//! then serves "last hour" window scans and point reads, comparing a tiered
+//! vs leveled tuning.
 //!
 //! ```text
 //! cargo run --release --example time_series

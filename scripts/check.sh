@@ -89,10 +89,16 @@ run_step "stress"   cargo test -q --test concurrent_stress
 # Same rank-asserted stress over the sharded router: cross-shard epoch
 # commits racing per-shard writers, readers, and merged scans.
 run_step "shard-stress" cargo test -q --test shard_stress
-# Exhaustive interleaving exploration of the leader/follower commit queue
-# (vendored loom, CHESS preemption bound 2): seqno contiguity, one
-# append/sync per group, no ack before durable, no lost wakeups.
-run_step "loom"     cargo test -q -p lsm-sync --features loom
+# Exhaustive interleaving exploration (vendored loom, CHESS preemption
+# bound 2) of the shipped group-commit driver — seqno contiguity, one group
+# per request, no ack before durable, a failed group fails every member,
+# no lost wakeups under strict waits — plus the lsm-sync models. Only the
+# models run: lsm-core's other unit tests cannot run on the loom backing.
+loom_models() {
+    cargo test -q -p lsm-sync --features loom &&
+        cargo test -q -p lsm-core --features loom --lib group_commit::loom_models::
+}
+run_step "loom"     loom_models
 # The lock-free layer's publication protocols (memtable occupancy,
 # event-ring seqlock, epoch pins) under the store-buffer memory model,
 # with seeded-misordering variants proving the checker can see the bugs.

@@ -114,18 +114,25 @@ fn durability_spec_is_current_and_the_commit_pipeline_is_ordered() {
         "manifest build and persist must be one atomic section"
     );
 
-    // The commit entry point acks only after the group commits.
-    let commit_write = effects_of(&durability, "lsm-core", "commit_write");
-    let group = commit_write
+    // The commit entry point runs the group-commit driver, and the driver
+    // acks only after the group commits.
+    assert!(
+        effects_of(&durability, "lsm-core", "commit_write")
+            .iter()
+            .any(|e| e == "call:commit_in_group"),
+        "commit_write delegates to the group-commit driver"
+    );
+    let driver = effects_of(&durability, "lsm-core", "commit_in_group");
+    let group = driver
         .iter()
         .position(|e| e == "call:commit_group")
-        .expect("commit_write delegates to commit_group");
-    let first_ack = commit_write
+        .expect("the driver delegates to commit_group");
+    let first_ack = driver
         .iter()
         .position(|e| e == "ack")
-        .expect("commit_write acks its followers");
+        .expect("the driver acks its followers");
     assert!(
         group < first_ack,
-        "commit_write must ack after the group commit: {commit_write:?}"
+        "the driver must ack after the group commit: {driver:?}"
     );
 }
