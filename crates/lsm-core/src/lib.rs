@@ -19,7 +19,7 @@
 //! | File-picking policy (§2.2.3) | `compaction.pick` |
 //! | Delete persistence (Lethe, §2.3.3) | `compaction.extra_triggers` |
 //! | Bloom memory + Monkey allocation (§2.1.3) | `filter_bits_per_key`, `monkey_filters` |
-//! | Block cache (+ Leaper warming) (§2.1.3) | `block_cache_bytes`, `warm_cache_after_compaction` |
+//! | Block cache (+ Leaper warming) (§2.1.3) | `DbBuilder::cache_config`, `warm_cache_after_compaction` |
 //! | Background parallelism (§2.2.5) | `background_threads` |
 //!
 //! Keyspace partitioning, the other parallelism knob of §2.2.5, is a
@@ -54,7 +54,7 @@ pub use exporter::{MetricsExporter, MetricsSource};
 pub use metrics::MetricsSnapshot;
 pub use options::Options;
 pub use sharded::Partitioning;
-pub use stats::{DbStats, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use version::{Run, Version};
 
 // Re-export the types that appear in the public API so downstream users

@@ -1,11 +1,11 @@
 //! The unified metrics surface: one snapshot covering the engine, the
 //! storage backend, and the block cache.
 //!
-//! Before this module, experiments hand-assembled three separate
-//! surfaces — [`StatsSnapshot`], [`IoSnapshot`], and [`CacheStats`] — with
-//! three `delta` dances. [`Db::metrics`](crate::Db::metrics) returns all of
-//! them in one [`MetricsSnapshot`], with a single [`delta`] combinator for
-//! phase measurements and a [`to_json`] emitter for experiment output.
+//! [`Db::metrics`](crate::Db::metrics) returns [`StatsSnapshot`],
+//! [`IoSnapshot`] and [`CacheStats`] in one [`MetricsSnapshot`], with a
+//! single [`delta`] combinator for phase measurements and a [`to_json`]
+//! emitter for experiment output. Each of the three counter sets is one
+//! `lsm_obs::counter_table!` declaration; the JSON walks its `fields()`.
 //!
 //! [`delta`]: MetricsSnapshot::delta
 //! [`to_json`]: MetricsSnapshot::to_json
@@ -98,62 +98,12 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
         out.push('{');
-        let db = &self.db;
-        push_obj(
-            &mut out,
-            "db",
-            &[
-                ("puts", db.puts),
-                ("gets", db.gets),
-                ("deletes", db.deletes),
-                ("scans", db.scans),
-                ("user_bytes", db.user_bytes),
-                ("flushes", db.flushes),
-                ("flush_bytes", db.flush_bytes),
-                ("compactions", db.compactions),
-                ("compact_bytes_read", db.compact_bytes_read),
-                ("compact_bytes_written", db.compact_bytes_written),
-                ("stall_count", db.stall_count),
-                ("stall_nanos", db.stall_nanos),
-                ("idle_waits", db.idle_waits),
-                ("gc_dropped_entries", db.gc_dropped_entries),
-                ("tombstones_purged", db.tombstones_purged),
-                ("wal_appends", db.wal_appends),
-                ("wal_syncs", db.wal_syncs),
-                ("group_commits", db.group_commits),
-            ],
-        );
+        push_obj(&mut out, "db", &self.db.fields());
         out.push(',');
-        let io = &self.io;
-        push_obj(
-            &mut out,
-            "io",
-            &[
-                ("read_ops", io.read_ops),
-                ("read_pages", io.read_pages),
-                ("read_bytes", io.read_bytes),
-                ("write_ops", io.write_ops),
-                ("write_pages", io.write_pages),
-                ("write_bytes", io.write_bytes),
-                ("files_created", io.files_created),
-                ("files_deleted", io.files_deleted),
-            ],
-        );
+        push_obj(&mut out, "io", &self.io.fields());
         out.push(',');
         match &self.cache {
-            Some(c) => push_obj(
-                &mut out,
-                "cache",
-                &[
-                    ("hits", c.hits),
-                    ("misses", c.misses),
-                    ("index_hits", c.index_hits),
-                    ("filter_hits", c.filter_hits),
-                    ("insertions", c.insertions),
-                    ("evictions", c.evictions),
-                    ("invalidations", c.invalidations),
-                ],
-            ),
+            Some(c) => push_obj(&mut out, "cache", &c.fields()),
             None => out.push_str("\"cache\":null"),
         }
         out.push_str(",\"latency\":{");
@@ -453,5 +403,88 @@ mod tests {
             ..Default::default()
         });
         assert!(m.to_json().contains("\"cache\":{\"hits\":2,"));
+    }
+
+    /// The `(key, value)` pairs of the flat object `"name":{..}` in `json`.
+    fn json_object(json: &str, name: &str) -> Vec<(String, u64)> {
+        let open = format!("\"{name}\":{{");
+        let start = json.find(&open).expect("object present") + open.len();
+        let end = start + json[start..].find('}').expect("object closes");
+        json[start..end]
+            .split(',')
+            .map(|kv| {
+                let (k, v) = kv.split_once(':').expect("key:value");
+                (
+                    k.trim_matches('"').to_string(),
+                    v.parse().expect("u64 value"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counter_objects_are_the_table_fields_in_order() {
+        // Every counter distinct, numbered in declaration order.
+        let db = StatsSnapshot {
+            puts: 1,
+            gets: 2,
+            deletes: 3,
+            scans: 4,
+            user_bytes: 5,
+            flushes: 6,
+            flush_bytes: 7,
+            compactions: 8,
+            compact_bytes_read: 9,
+            compact_bytes_written: 10,
+            stall_count: 11,
+            stall_nanos: 12,
+            idle_waits: 13,
+            gc_dropped_entries: 14,
+            tombstones_purged: 15,
+            wal_appends: 16,
+            wal_syncs: 17,
+            group_commits: 18,
+        };
+        let io = IoSnapshot {
+            read_ops: 19,
+            read_pages: 20,
+            read_bytes: 21,
+            write_ops: 22,
+            write_pages: 23,
+            write_bytes: 24,
+            files_created: 25,
+            files_deleted: 26,
+        };
+        let cache = CacheStats {
+            hits: 27,
+            misses: 28,
+            index_hits: 29,
+            filter_hits: 30,
+            insertions: 31,
+            evictions: 32,
+            invalidations: 33,
+        };
+        let m = MetricsSnapshot {
+            db,
+            io,
+            cache: Some(cache),
+            ..Default::default()
+        };
+        let json = m.to_json();
+        let owned = |f: &[(&str, u64)]| -> Vec<(String, u64)> {
+            f.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+        };
+        let objects = [
+            ("db", owned(&db.fields())),
+            ("io", owned(&io.fields())),
+            ("cache", owned(&cache.fields())),
+        ];
+        let mut values = Vec::new();
+        for (name, fields) in objects {
+            let pairs = json_object(&json, name);
+            assert_eq!(pairs, fields, "`{name}` keys must be its fields, in order");
+            values.extend(pairs.into_iter().map(|(_, v)| v));
+        }
+        assert_eq!(values, (1..=33).collect::<Vec<u64>>());
     }
 }

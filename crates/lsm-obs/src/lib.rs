@@ -13,6 +13,10 @@
 //!   exportable as Chrome `trace_event` JSON.
 //! * [`LevelGauge`] — instantaneous per-level tree-shape readings.
 //!
+//! Plus [`counter_table!`], which declares a set of monotonic counters
+//! once and derives its atomic cells, snapshot, `delta`, `merge` and
+//! ordered `(name, value)` list from that declaration.
+//!
 //! The engine threads one [`ObsHandle`] (a cheap `Arc` clone) through
 //! every layer; [`Observability`] selects whether it records. All state is
 //! atomics — an `ObsHandle` never participates in the engine's lock
@@ -20,6 +24,7 @@
 //! lock's scope or violating rank order.
 
 pub mod clock;
+mod counters;
 mod event;
 mod gauge;
 mod hist;

@@ -81,29 +81,35 @@ impl Default for CacheConfig {
     }
 }
 
-/// Counters describing cache effectiveness.
-///
-/// `hits`/`misses` count every lookup (data and auxiliary blocks alike);
-/// `index_hits` and `filter_hits` attribute the subset of `hits` served
-/// for index/filter partitions, so pinning efficacy is visible separately
-/// from data-block locality (`hits - index_hits - filter_hits` is the
-/// data-block hit count).
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq, serde::Serialize)]
-pub struct CacheStats {
-    /// Lookups that found their block (any kind).
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Hits served for index partition blocks.
-    pub index_hits: u64,
-    /// Hits served for filter partition blocks.
-    pub filter_hits: u64,
-    /// Blocks inserted.
-    pub insertions: u64,
-    /// Blocks evicted by capacity pressure.
-    pub evictions: u64,
-    /// Blocks dropped because their file was invalidated (compacted away).
-    pub invalidations: u64,
+lsm_obs::counter_table! {
+    /// The cells behind [`BlockCache::stats`], shared by every namespaced
+    /// handle of one cache.
+    struct CacheCounters {
+        /// Lookups that found their block (any kind).
+        hits: AtomicU64,
+        /// Lookups that missed.
+        misses: AtomicU64,
+        /// Hits served for index partition blocks.
+        index_hits: AtomicU64,
+        /// Hits served for filter partition blocks.
+        filter_hits: AtomicU64,
+        /// Blocks inserted.
+        insertions: AtomicU64,
+        /// Blocks evicted by capacity pressure.
+        evictions: AtomicU64,
+        /// Blocks dropped because their file was invalidated (compacted away).
+        invalidations: AtomicU64,
+    }
+
+    /// Counters describing cache effectiveness.
+    ///
+    /// `hits`/`misses` count every lookup (data and auxiliary blocks alike);
+    /// `index_hits` and `filter_hits` attribute the subset of `hits` served
+    /// for index/filter partitions, so pinning efficacy is visible separately
+    /// from data-block locality (`hits - index_hits - filter_hits` is the
+    /// data-block hit count).
+    #[derive(serde::Serialize)]
+    snapshot CacheStats;
 }
 
 impl CacheStats {
@@ -115,30 +121,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Counter increments between `earlier` and `self`.
-    pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            index_hits: self.index_hits - earlier.index_hits,
-            filter_hits: self.filter_hits - earlier.filter_hits,
-            insertions: self.insertions - earlier.insertions,
-            evictions: self.evictions - earlier.evictions,
-            invalidations: self.invalidations - earlier.invalidations,
-        }
-    }
-
-    /// Accumulates `other` into `self` (aggregating per-shard caches).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.index_hits += other.index_hits;
-        self.filter_hits += other.filter_hits;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.invalidations += other.invalidations;
     }
 }
 
@@ -271,13 +253,7 @@ struct CacheCore {
     shards: Vec<OrderedMutex<Shard>>,
     capacity_per_shard: usize,
     cfg: CacheConfig,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    index_hits: AtomicU64,
-    filter_hits: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
+    stats: CacheCounters,
 }
 
 impl BlockCache {
@@ -291,13 +267,7 @@ impl BlockCache {
                 .collect(),
             capacity_per_shard: cfg.capacity_bytes / shard_count,
             cfg,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            index_hits: AtomicU64::new(0),
-            filter_hits: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
+            stats: CacheCounters::default(),
         };
         BlockCache {
             core: Arc::new(core),
@@ -346,25 +316,25 @@ impl BlockCache {
     /// (refcount bump, no copy).
     pub fn get_kind(&self, key: &BlockKey, kind: BlockKind) -> Option<Bytes> {
         if self.core.capacity_per_shard == 0 {
-            self.core.misses.fetch_add(1, Ordering::Relaxed);
+            self.core.stats.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let mut shard = self.shard_for(key).lock();
         if let Some(&idx) = shard.map.get(&(self.ns, *key)) {
             shard.touch(idx);
-            self.core.hits.fetch_add(1, Ordering::Relaxed);
+            self.core.stats.hits.fetch_add(1, Ordering::Relaxed);
             match kind {
                 BlockKind::Data => {}
                 BlockKind::Index => {
-                    self.core.index_hits.fetch_add(1, Ordering::Relaxed);
+                    self.core.stats.index_hits.fetch_add(1, Ordering::Relaxed);
                 }
                 BlockKind::Filter => {
-                    self.core.filter_hits.fetch_add(1, Ordering::Relaxed);
+                    self.core.stats.filter_hits.fetch_add(1, Ordering::Relaxed);
                 }
             }
             Some(shard.slab[idx].value.clone())
         } else {
-            self.core.misses.fetch_add(1, Ordering::Relaxed);
+            self.core.stats.misses.fetch_add(1, Ordering::Relaxed);
             None
         }
     }
@@ -404,10 +374,10 @@ impl BlockCache {
         while shard.bytes + value.len() > self.core.capacity_per_shard && shard.tail != NIL {
             let tail = shard.tail;
             shard.remove_node(tail);
-            self.core.evictions.fetch_add(1, Ordering::Relaxed);
+            self.core.stats.evictions.fetch_add(1, Ordering::Relaxed);
         }
         shard.insert_node(key, value, pinned);
-        self.core.insertions.fetch_add(1, Ordering::Relaxed);
+        self.core.stats.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Inserts without counting as an insertion-on-miss: used by prefetchers
@@ -435,6 +405,7 @@ impl BlockCache {
             }
         }
         self.core
+            .stats
             .invalidations
             .fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
@@ -457,15 +428,7 @@ impl BlockCache {
 
     /// Copies the statistics counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.core.hits.load(Ordering::Relaxed),
-            misses: self.core.misses.load(Ordering::Relaxed),
-            index_hits: self.core.index_hits.load(Ordering::Relaxed),
-            filter_hits: self.core.filter_hits.load(Ordering::Relaxed),
-            insertions: self.core.insertions.load(Ordering::Relaxed),
-            evictions: self.core.evictions.load(Ordering::Relaxed),
-            invalidations: self.core.invalidations.load(Ordering::Relaxed),
-        }
+        self.core.stats.snapshot()
     }
 }
 
@@ -702,5 +665,31 @@ mod tests {
         }
         // No panics, and accounting stayed within capacity.
         assert!(c.used_bytes() <= 1 << 16);
+    }
+
+    #[test]
+    fn every_cell_reaches_its_field_in_declaration_order() {
+        let c = CacheCounters::default();
+        let cells = [
+            ("hits", &c.hits),
+            ("misses", &c.misses),
+            ("index_hits", &c.index_hits),
+            ("filter_hits", &c.filter_hits),
+            ("insertions", &c.insertions),
+            ("evictions", &c.evictions),
+            ("invalidations", &c.invalidations),
+        ];
+        let mut expected = Vec::new();
+        for ((name, cell), v) in cells.into_iter().zip(1..) {
+            cell.fetch_add(v, Ordering::Relaxed);
+            expected.push((name, v));
+        }
+        let snap = c.snapshot();
+        assert_eq!(snap.fields().to_vec(), expected);
+        assert_eq!(snap.delta(&CacheStats::default()), snap);
+        let mut twice = snap;
+        twice.merge(&snap);
+        let doubled: Vec<_> = expected.iter().map(|&(n, v)| (n, 2 * v)).collect();
+        assert_eq!(twice.fields().to_vec(), doubled);
     }
 }

@@ -5,16 +5,31 @@ use std::sync::Arc;
 
 use lsm_types::PAGE_SIZE;
 
-#[derive(Default, Debug)]
-struct Counters {
-    read_ops: AtomicU64,
-    read_pages: AtomicU64,
-    read_bytes: AtomicU64,
-    write_ops: AtomicU64,
-    write_pages: AtomicU64,
-    write_bytes: AtomicU64,
-    files_created: AtomicU64,
-    files_deleted: AtomicU64,
+lsm_obs::counter_table! {
+    /// The cells behind an [`IoStats`] handle.
+    struct Counters {
+        /// Number of read operations.
+        read_ops: AtomicU64,
+        /// Pages touched by reads (a read spanning a page boundary counts
+        /// each page it touches).
+        read_pages: AtomicU64,
+        /// Bytes read.
+        read_bytes: AtomicU64,
+        /// Number of write operations.
+        write_ops: AtomicU64,
+        /// Pages written (rounded up per operation).
+        write_pages: AtomicU64,
+        /// Bytes written.
+        write_bytes: AtomicU64,
+        /// Files created.
+        files_created: AtomicU64,
+        /// Files deleted.
+        files_deleted: AtomicU64,
+    }
+
+    /// A point-in-time copy of the I/O counters.
+    #[derive(serde::Serialize)]
+    snapshot IoSnapshot;
 }
 
 /// A cheaply-cloneable handle to a set of I/O counters.
@@ -26,28 +41,6 @@ struct Counters {
 #[derive(Clone, Default, Debug)]
 pub struct IoStats {
     inner: Arc<Counters>,
-}
-
-/// A point-in-time copy of the counters.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq, serde::Serialize)]
-pub struct IoSnapshot {
-    /// Number of read operations.
-    pub read_ops: u64,
-    /// Pages touched by reads (a read spanning a page boundary counts each
-    /// page it touches).
-    pub read_pages: u64,
-    /// Bytes read.
-    pub read_bytes: u64,
-    /// Number of write operations.
-    pub write_ops: u64,
-    /// Pages written (rounded up per operation).
-    pub write_pages: u64,
-    /// Bytes written.
-    pub write_bytes: u64,
-    /// Files created.
-    pub files_created: u64,
-    /// Files deleted.
-    pub files_deleted: u64,
 }
 
 impl IoStats {
@@ -99,45 +92,7 @@ impl IoStats {
 
     /// Copies the current counter values.
     pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            read_ops: self.inner.read_ops.load(Ordering::Relaxed),
-            read_pages: self.inner.read_pages.load(Ordering::Relaxed),
-            read_bytes: self.inner.read_bytes.load(Ordering::Relaxed),
-            write_ops: self.inner.write_ops.load(Ordering::Relaxed),
-            write_pages: self.inner.write_pages.load(Ordering::Relaxed),
-            write_bytes: self.inner.write_bytes.load(Ordering::Relaxed),
-            files_created: self.inner.files_created.load(Ordering::Relaxed),
-            files_deleted: self.inner.files_deleted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl IoSnapshot {
-    /// The counter increments between `earlier` and `self`.
-    pub fn delta(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            read_ops: self.read_ops - earlier.read_ops,
-            read_pages: self.read_pages - earlier.read_pages,
-            read_bytes: self.read_bytes - earlier.read_bytes,
-            write_ops: self.write_ops - earlier.write_ops,
-            write_pages: self.write_pages - earlier.write_pages,
-            write_bytes: self.write_bytes - earlier.write_bytes,
-            files_created: self.files_created - earlier.files_created,
-            files_deleted: self.files_deleted - earlier.files_deleted,
-        }
-    }
-
-    /// Accumulates `other` into `self` (aggregating per-shard backends
-    /// into one fleet-wide I/O view).
-    pub fn merge(&mut self, other: &IoSnapshot) {
-        self.read_ops += other.read_ops;
-        self.read_pages += other.read_pages;
-        self.read_bytes += other.read_bytes;
-        self.write_ops += other.write_ops;
-        self.write_pages += other.write_pages;
-        self.write_bytes += other.write_bytes;
-        self.files_created += other.files_created;
-        self.files_deleted += other.files_deleted;
+        self.inner.snapshot()
     }
 }
 
@@ -189,5 +144,32 @@ mod tests {
         let s2 = s.clone();
         s2.charge_file_created();
         assert_eq!(s.snapshot().files_created, 1);
+    }
+
+    #[test]
+    fn every_cell_reaches_its_field_in_declaration_order() {
+        let c = Counters::default();
+        let cells = [
+            ("read_ops", &c.read_ops),
+            ("read_pages", &c.read_pages),
+            ("read_bytes", &c.read_bytes),
+            ("write_ops", &c.write_ops),
+            ("write_pages", &c.write_pages),
+            ("write_bytes", &c.write_bytes),
+            ("files_created", &c.files_created),
+            ("files_deleted", &c.files_deleted),
+        ];
+        let mut expected = Vec::new();
+        for ((name, cell), v) in cells.into_iter().zip(1..) {
+            cell.fetch_add(v, Ordering::Relaxed);
+            expected.push((name, v));
+        }
+        let snap = c.snapshot();
+        assert_eq!(snap.fields().to_vec(), expected);
+        assert_eq!(snap.delta(&IoSnapshot::default()), snap);
+        let mut twice = snap;
+        twice.merge(&snap);
+        let doubled: Vec<_> = expected.iter().map(|&(n, v)| (n, 2 * v)).collect();
+        assert_eq!(twice.fields().to_vec(), doubled);
     }
 }

@@ -1,12 +1,13 @@
 //! Loom models of the engine's three lock-free publication protocols.
 //!
-//! Where `loom_commit.rs` checks the lock/condvar commit pipeline, these
-//! models check the structures that publish *without* a lock, under the
-//! vendored loom's store-buffer memory model (`Relaxed` stores may be
-//! delayed past later operations until the thread's next release point —
-//! see the loom crate docs). Each protocol gets a clean model that must
-//! pass and a seeded-bug variant that the checker must catch; a green
-//! seeded test is the proof the harness can actually see the bug class.
+//! Where `lsm-core`'s `group_commit::loom_models` check the lock/condvar
+//! commit pipeline, these models check the structures that publish
+//! *without* a lock, under the vendored loom's store-buffer memory model
+//! (`Relaxed` stores may be delayed past later operations until the
+//! thread's next release point — see the loom crate docs). Each protocol
+//! gets a clean model that must pass and a seeded-bug variant that the
+//! checker must catch; a green seeded test is the proof the harness can
+//! actually see the bug class.
 //!
 //! 1. **Memtable occupancy** (`lsm-memtable::HashSkipListMemTable`):
 //!    `len` is bumped with a Relaxed RMW *before* the shard write-lock
